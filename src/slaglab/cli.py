@@ -14,7 +14,7 @@ Conventions: angles are radians; the invariant A carries the ambient area
 unit.  Reports are canonical JSON (sorted keys) or CSV for tabular output;
 identical configuration and seed give byte-identical JSON.  The environment
 variable SLAG_SEED overrides the RNG seed.  Exit codes: 0 pass, 1 check
-failure, 2 usage error.
+failure or numerical failure (reported on an `error:` line), 2 usage error.
 
 Complex files for the floer subcommand use the schema
 
@@ -705,6 +705,11 @@ def main(argv=None) -> int:
     except (ValueError, GradingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        # numerical failure (QuadratureError, NewtonError, ODE solver):
+        # not a usage error
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

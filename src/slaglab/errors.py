@@ -22,7 +22,7 @@ class BranchCutError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Quadrature failed to reach the requested tolerance."""
 
 
 class NewtonError(RuntimeError):

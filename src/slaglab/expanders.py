@@ -49,7 +49,14 @@ from . import quadrature
 from ._newton import InversionResult, damped_newton_log
 from .errors import DimensionMismatchError, GradingError
 from .geometry import LagrangianSample, TangentFrame, liouville_form
-from .lawlor import RotatedNeck, _validate_a, oriented_sphere_basis
+from .lawlor import (
+    RotatedNeck,
+    _log_P,
+    _profile_rows,
+    _tangent_columns,
+    _unit_direction,
+    _validate_a,
+)
 
 _TAIL_MASS = 1e-15
 _FAULT_ENV = "SLAG_FAULT_DTHETA"
@@ -91,7 +98,10 @@ class JLTExpander:
         self.a = _validate_a(a)
         self.m = self.a.shape[0]
         self._cutoff = self._tail_cutoff()
-        self.phis = np.array([self._angle_integral(k) for k in range(self.m)])
+        self._scales = np.append(1.0 / np.sqrt(self.a), 1.0 / math.sqrt(self.alpha))
+        self._fault_bias = _fault_bias()
+        # the integrands are even: twice the half-line integrals
+        self.phis = 2.0 * self._integrate(0.0, math.inf)
         self.angle_sum = float(np.sum(self.phis))
         if not self.angle_sum < np.pi:
             raise GradingError("angle sum came out >= pi; invalid parameters")
@@ -100,12 +110,7 @@ class JLTExpander:
     # -- scalar profile data --------------------------------------------------
 
     def log_P(self, x: float) -> float:
-        if x == 0.0:
-            return math.log(self.alpha + float(np.sum(self.a)))
-        s = self.alpha * x * x + float(np.sum(np.log1p(self.a * x * x)))
-        if s > 1e-8:
-            return s + math.log1p(-math.exp(-s)) - 2.0 * math.log(abs(x))
-        return math.log(math.expm1(s)) - 2.0 * math.log(abs(x))
+        return float(_log_P(self.alpha, self.a, x))
 
     def inv_sqrt_P(self, x: float) -> float:
         return math.exp(-0.5 * self.log_P(x))
@@ -120,7 +125,17 @@ class JLTExpander:
         x_scale = 10.0 / math.sqrt(float(np.min(self.a)))
         return max(min(x_poly, x_gauss), x_scale, 50.0)
 
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        """The m angle integrands at abscissae x."""
+        return _profile_rows(self.alpha, self.a, x, area=False)
+
+    def _integrate(self, lower: float, upper: float) -> np.ndarray:
+        return quadrature.integrate_rows(
+            self._rows, lower, upper, self._cutoff, self._scales
+        )
+
     def _angle_integrand(self, k):
+        """Scalar angle integrand, the input of the independent oracle rules."""
         ak = float(self.a[k])
 
         def g(x):
@@ -128,16 +143,8 @@ class JLTExpander:
 
         return g
 
-    def _angle_integral(self, k) -> float:
-        return quadrature.integrate_real_line(self._angle_integrand(k), self._cutoff)
-
     def psi(self, y: float) -> np.ndarray:
-        return np.array(
-            [
-                quadrature.integrate_partial(self._angle_integrand(k), y, self._cutoff)
-                for k in range(self.m)
-            ]
-        )
+        return self._integrate(-math.inf, y)
 
     # -- grading and potential --------------------------------------------------
 
@@ -145,10 +152,12 @@ class JLTExpander:
         """Angle function at profile parameter y (continuous lift, -> 0 as
         y -> -inf).  The arg term has strictly negative imaginary part, so the
         principal branch is already the continuous lift."""
-        value = float(np.sum(self.psi(y))) + math.atan2(-self.inv_sqrt_P(y), -y)
-        bias = _fault_bias()
-        if bias:
-            value += bias * math.tanh(y)
+        return self._theta(y, self.psi(y))
+
+    def _theta(self, y: float, psis: np.ndarray) -> float:
+        value = float(np.sum(psis)) + math.atan2(-self.inv_sqrt_P(y), -y)
+        if self._fault_bias:
+            value += self._fault_bias * math.tanh(y)
         return value
 
     def dtheta_dy(self, y: float) -> float:
@@ -163,9 +172,8 @@ class JLTExpander:
         psi_term = rational * inv_sqrt_p
         arg_term = -(self.alpha + rational) * inv_sqrt_p
         value = psi_term + arg_term
-        bias = _fault_bias()
-        if bias:
-            value += bias / math.cosh(y) ** 2
+        if self._fault_bias:
+            value += self._fault_bias / math.cosh(y) ** 2
         return value
 
     def theta_minus_limit(self) -> float:
@@ -181,36 +189,19 @@ class JLTExpander:
 
     # -- pointwise geometry ------------------------------------------------------
 
-    def _tangent_columns(self, y: float, x_unit: np.ndarray):
-        psis = self.psi(y)
-        radii = np.sqrt(1.0 / self.a + y * y)
-        phase = np.exp(1j * psis)
-        z = radii * phase
-        inv_sqrt_p = self.inv_sqrt_P(y)
-        dpsi = self.a / (1.0 + self.a * y * y) * inv_sqrt_p
-        dz = (y / radii + 1j * dpsi * radii) * phase
-
-        cols = np.empty((self.m, self.m), dtype=complex)
-        cols[:, 0] = -dz * x_unit
-        sphere_dirs = oriented_sphere_basis(x_unit)
-        for i in range(self.m - 1):
-            cols[:, i + 1] = z * sphere_dirs[:, i]
-        return cols, z, dz
-
     def point(self, y: float, x_unit) -> LagrangianSample:
-        x_unit = np.asarray(x_unit, dtype=float).reshape(-1)
-        if x_unit.shape[0] != self.m:
-            raise DimensionMismatchError("direction vector has wrong length")
-        if abs(float(np.linalg.norm(x_unit)) - 1.0) > 1e-12:
-            raise ValueError("direction vector must be a unit vector")
-        cols, z, _ = self._tangent_columns(y, x_unit)
+        x_unit = _unit_direction(x_unit, self.m)
+        psis = self.psi(y)
+        cols, z, _ = _tangent_columns(self.a, y, x_unit, psis, self.inv_sqrt_P(y))
         frame = TangentFrame(z * x_unit, cols).orthonormalized()
-        return LagrangianSample(z * x_unit, frame, self.theta(y), self.potential(y))
+        theta = self._theta(y, psis)
+        return LagrangianSample(z * x_unit, frame, theta, -2.0 * theta / self.alpha)
 
     def radial_tangent(self, y: float, x_unit):
         """Ambient point and (unnormalized) tangent vector along d/dy."""
         x_unit = np.asarray(x_unit, dtype=float).reshape(-1)
-        _, z, dz = self._tangent_columns(y, x_unit)
+        _, z, dz = _tangent_columns(self.a, y, x_unit, self.psi(y),
+                                    self.inv_sqrt_P(y))
         return z * x_unit, dz * x_unit
 
     def expander_identity_residual(self, y: float, x_unit=None) -> float:
@@ -247,7 +238,8 @@ class JLTExpander:
 
 def _fault_bias() -> float:
     """Test hook: a nonzero SLAG_FAULT_DTHETA biases the angle derivative so
-    the expander-identity check must fail (used by `slaglab verify`)."""
+    the expander-identity check must fail (used by `slaglab verify`).  Read
+    once per expander, at construction."""
     raw = os.environ.get(_FAULT_ENV)
     return float(raw) if raw else 0.0
 

@@ -71,6 +71,63 @@ def oriented_sphere_basis(x_unit: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _log_P(alpha: float, a: np.ndarray, x):
+    """log P(x) for P(x) = (e^{alpha x^2} prod(1 + a_k x^2) - 1)/x^2,
+    elementwise in x, with P(0) = alpha + sum(a_k).
+
+    With s = alpha x^2 + sum log1p(a_k x^2), log(e^s - 1) is evaluated as
+    s + log(-expm1(-s)), which keeps full relative precision for every s > 0;
+    the form s + log1p(-exp(-s)) loses digits when s is small.
+    """
+    xx = np.square(x)
+    s = alpha * xx + np.sum(np.log1p(np.multiply.outer(xx, a)), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = s + np.log(-np.expm1(-s)) - np.log(xx)
+    # s == 0 only where x^2 underflows against every a_k
+    return np.where(s > 0.0, log_p, math.log(alpha + float(np.sum(a))))
+
+
+def _profile_rows(alpha: float, a: np.ndarray, x: np.ndarray, area: bool):
+    """Angle integrands a_k/((1 + a_k x^2) sqrt(P)), one row per k, at
+    abscissae x; with area, one more row 1/(2 sqrt(P))."""
+    inv_sqrt_p = np.exp(-0.5 * _log_P(alpha, a, x))
+    col = a[:, None]
+    rows = col / (1.0 + col * np.square(x)) * inv_sqrt_p
+    if area:
+        rows = np.vstack((rows, 0.5 * inv_sqrt_p))
+    return rows
+
+
+def _unit_direction(x_unit, m: int) -> np.ndarray:
+    x_unit = np.asarray(x_unit, dtype=float).reshape(-1)
+    if x_unit.shape[0] != m:
+        raise DimensionMismatchError("direction vector has wrong length")
+    if abs(float(np.linalg.norm(x_unit)) - 1.0) > 1e-12:
+        raise ValueError("direction vector must be a unit vector")
+    return x_unit
+
+
+def _tangent_columns(a, y: float, x_unit, psis, inv_sqrt_p: float):
+    """Raw tangent vectors of a neck or expander at (y, x_unit), given its
+    phases psi(y): the profile direction, then sphere directions.  Returns
+    (columns, z, dz/dy).
+
+    The profile direction enters with a minus sign; this orientation makes
+    the frame phase vanish identically along a Lawlor neck.
+    """
+    radii = np.sqrt(1.0 / a + y * y)
+    phase = np.exp(1j * psis)
+    z = radii * phase
+    dpsi = a / (1.0 + a * y * y) * inv_sqrt_p
+    dz = (y / radii + 1j * dpsi * radii) * phase
+
+    m = a.shape[0]
+    cols = np.empty((m, m), dtype=complex)
+    cols[:, 0] = -dz * x_unit
+    cols[:, 1:] = z[:, None] * oriented_sphere_basis(x_unit)
+    return cols, z, dz
+
+
 @dataclass(frozen=True)
 class LawlorAngles:
     """Angle tuple and area invariant (phi_1..phi_m, A) of a neck."""
@@ -90,22 +147,17 @@ class LawlorNeck:
         self.a = _validate_a(a)
         self.m = self.a.shape[0]
         self._cutoff = self._tail_cutoff()
-        self.phis = np.array(
-            [self._angle_integral(k) for k in range(self.m)]
-        )
-        self.A = quadrature.integrate_real_line(self._area_integrand, self._cutoff)
+        self._scales = 1.0 / np.sqrt(self.a)
+        # the integrands are even: twice the half-line integrals
+        half = self._integrate(0.0, math.inf)
+        self.phis = 2.0 * half[:-1]
+        self.A = 2.0 * float(half[-1])
         self.angle_sum = float(np.sum(self.phis))
 
     # -- scalar profile data ------------------------------------------------
 
     def log_P(self, x: float) -> float:
-        if x == 0.0:
-            return math.log(float(np.sum(self.a)))
-        s = float(np.sum(np.log1p(self.a * x * x)))
-        # log(e^s - 1) without overflow or cancellation
-        if s > 1e-8:
-            return s + math.log1p(-math.exp(-s)) - 2.0 * math.log(abs(x))
-        return math.log(math.expm1(s)) - 2.0 * math.log(abs(x))
+        return float(_log_P(0.0, self.a, x))
 
     def P(self, x: float) -> float:
         return math.exp(self.log_P(x))
@@ -124,6 +176,17 @@ class LawlorNeck:
         x_scale = 10.0 / math.sqrt(float(np.min(self.a)))
         return max(x_tail, x_scale, 50.0)
 
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        """The m angle integrands, then the area integrand, at abscissae x."""
+        return _profile_rows(0.0, self.a, x, area=True)
+
+    def _integrate(self, lower: float, upper: float) -> np.ndarray:
+        return quadrature.integrate_rows(
+            self._rows, lower, upper, self._cutoff, self._scales
+        )
+
+    # scalar integrands, the input of the independent oracle rules
+
     def _angle_integrand(self, k):
         ak = float(self.a[k])
 
@@ -132,24 +195,16 @@ class LawlorNeck:
 
         return g
 
-    def _angle_integral(self, k) -> float:
-        return quadrature.integrate_real_line(self._angle_integrand(k), self._cutoff)
-
     def _area_integrand(self, x):
         return 0.5 * self.inv_sqrt_P(x)
 
     def psi(self, y: float) -> np.ndarray:
         """Component phases psi_k(y); increasing from 0 to phi_k."""
-        return np.array(
-            [
-                quadrature.integrate_partial(self._angle_integrand(k), y, self._cutoff)
-                for k in range(self.m)
-            ]
-        )
+        return self._integrate(-math.inf, y)[:-1]
 
     def potential(self, y: float) -> float:
         """f(y) = Int_{-inf}^y dx/(2 sqrt(P)); increasing, f(-inf) = 0."""
-        return quadrature.integrate_partial(self._area_integrand, y, self._cutoff)
+        return float(self._integrate(-math.inf, y)[-1])
 
     def profile(self, y: float):
         """Radial profile (z_1(y)..z_m(y), psi_1(y)..psi_m(y))."""
@@ -159,48 +214,29 @@ class LawlorNeck:
 
     # -- pointwise geometry ---------------------------------------------------
 
-    def _tangent_columns(self, y: float, x_unit: np.ndarray):
-        """Raw tangent vectors: the profile direction then sphere directions.
-
-        The profile direction enters with a minus sign; this orientation makes
-        the frame phase vanish identically along the neck.
-        """
-        psis = self.psi(y)
-        radii = np.sqrt(1.0 / self.a + y * y)
-        phase = np.exp(1j * psis)
-        z = radii * phase
-        inv_sqrt_p = self.inv_sqrt_P(y)
-        dpsi = self.a / (1.0 + self.a * y * y) * inv_sqrt_p
-        dz = (y / radii + 1j * dpsi * radii) * phase
-
-        cols = np.empty((self.m, self.m), dtype=complex)
-        cols[:, 0] = -dz * x_unit
-        sphere_dirs = oriented_sphere_basis(x_unit)
-        for i in range(self.m - 1):
-            cols[:, i + 1] = z * sphere_dirs[:, i]
-        return cols, z
-
     def point(self, y: float, x_unit) -> LagrangianSample:
         """Ambient point, orthonormal tangent frame, phase, and potential."""
-        x_unit = np.asarray(x_unit, dtype=float).reshape(-1)
-        if x_unit.shape[0] != self.m:
-            raise DimensionMismatchError("direction vector has wrong length")
-        norm = float(np.linalg.norm(x_unit))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("direction vector must be a unit vector")
-        cols, z = self._tangent_columns(y, x_unit)
+        x_unit = _unit_direction(x_unit, self.m)
+        partial = self._integrate(-math.inf, y)
+        cols, z, _ = _tangent_columns(self.a, y, x_unit, partial[:-1],
+                                      self.inv_sqrt_P(y))
         frame = TangentFrame(z * x_unit, cols).orthonormalized()
         theta = phase_of_frame(frame, branch_hint=0.0)
-        return LagrangianSample(z * x_unit, frame, theta, self.potential(y))
+        return LagrangianSample(z * x_unit, frame, theta, float(partial[-1]))
+
+    def radial_tangent(self, y: float, x_unit):
+        """Ambient point and (unnormalized) tangent vector along d/dy."""
+        x_unit = np.asarray(x_unit, dtype=float).reshape(-1)
+        _, z, dz = _tangent_columns(self.a, y, x_unit, self.psi(y),
+                                    self.inv_sqrt_P(y))
+        return z * x_unit, dz * x_unit
 
     def invariant_from_potential_limits(self) -> float:
         """A(L) = lim f(+inf) - lim f(-inf), assembled from a finite-interval
         potential evaluation plus the quadrature of the remaining tail."""
         y_big = 0.25 * self._cutoff
         head = self.potential(y_big)
-        tail = quadrature.integrate_segment(
-            self._area_integrand, y_big, self._cutoff, self._cutoff
-        )
+        tail = float(self._integrate(y_big, math.inf)[-1])
         return head + tail
 
     def angles(self) -> LawlorAngles:

@@ -206,3 +206,19 @@ def test_floer_rejects_bad_complex(tmp_path: Path):
 def test_usage_error_on_unknown_command():
     proc = run_cli("doesnotexist")
     assert proc.returncode == 2
+
+
+def test_numerical_failure_exits_one_with_error_line(monkeypatch, capsys):
+    from slaglab import cli, quadrature
+    from slaglab.errors import QuadratureError
+
+    def failing_rule(*args, **kwargs):
+        raise QuadratureError("N/2N gap above tolerance")
+
+    monkeypatch.setattr(quadrature, "integrate_rows", failing_rule)
+    for argv in (["lawlor", "--a", "1,2,3", "--samples", "5"],
+                 ["expander", "--alpha", "1", "--a", "1,1,1", "--samples", "5"]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: QuadratureError:")
+        assert "Traceback" not in err

@@ -226,3 +226,16 @@ def test_rejects_nonpositive_coefficients():
         LawlorNeck([1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         LawlorNeck([1.0, 0.0, 1.0])
+
+
+def test_potential_differential_is_lambda():
+    # df/dy = lambda(d/dy) for the area potential f(y) = Int dx / (2 sqrt(P))
+    from slaglab.geometry import liouville_form
+
+    neck = LawlorNeck([1.0, 2.0, 0.5])
+    x_unit = np.array([0.0, 0.6, 0.8])
+    h = 1e-6
+    for y in (-2.5, -1.0, 0.0, 0.3, 1.7, 4.0):
+        df = (neck.potential(y + h) - neck.potential(y - h)) / (2 * h)
+        point, tangent = neck.radial_tangent(y, x_unit)
+        assert df == pytest.approx(liouville_form(point, tangent), abs=1e-7)
