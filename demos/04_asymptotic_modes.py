@@ -2,9 +2,9 @@
 
 Decaying solutions separate into spherical harmonics times radial factors
 A_k(t), t = r^{-2}, solving a singular ODE.  The Taylor series at t = 0 is
-asymptotic (factorially divergent) and is summed to its smallest term; an
-adaptive Runge-Kutta continuation takes over beyond the handoff point, and
-the two representations agree to ~1e-14 on the overlap window.
+asymptotic (factorially divergent) and is summed to its smallest term;
+Chebyshev-Lobatto collocation takes over beyond the handoff point, and the
+two representations agree to ~1e-15 on the overlap window.
 """
 
 import numpy as np
@@ -26,8 +26,10 @@ solution = solve_radial_mode(m, k, alpha, t_max=2.0)
 print(f"radial hierarchy (m={m}, k={k}, alpha={alpha}):")
 print(f"  eigenvalue K = k(m+k-2)    : {solution.eigenvalue}")
 print(f"  c1 = A'(0)                 : {taylor_c1(m, k, alpha)}")
-print(f"  series/RK handoff at t     : {solution.t_switch}")
+print(f"  series/collocation handoff : t = {solution.t_switch}")
 print(f"  overlap disagreement       : {solution.overlap_disagreement():.2e}")
+print(f"  collocation panels         : {solution.panel_count}")
+print(f"  N/2N error estimate        : {solution.error_estimate:.2e}")
 print(f"  log-derivative bound       : {solution.log_derivative_bound()}")
 print("  t, A(t), A'(t)/A(t):")
 for t in (0.0, 0.25, 0.5, 1.0, 2.0):

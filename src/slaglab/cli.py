@@ -279,6 +279,8 @@ def cmd_expansion(args) -> int:
             "c1": modes.taylor_c1(args.m, args.k, args.alpha),
             "seriesSwitch": solution.t_switch,
             "overlapDisagreement": solution.overlap_disagreement(),
+            "collocationPanels": solution.panel_count,
+            "collocationErrorEstimate": solution.error_estimate,
             "table": [
                 {"t": r[0], "A": r[1], "Aprime": r[2], "logDerivative": r[3]}
                 for r in rows
@@ -706,7 +708,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
-        # numerical failure (QuadratureError, NewtonError, ODE solver):
+        # numerical failure (QuadratureError, NewtonError, radial collocation):
         # not a usage error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE

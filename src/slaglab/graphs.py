@@ -41,6 +41,37 @@ FD_STEP_SCALE = 1e-4
 BRANCH_CUT_TOL = 1e-6
 
 
+def monomial_values(points, exponents) -> np.ndarray:
+    """x^beta for every row x of points (n, m) and row beta of exponents
+    (p, m), as an (n, p) array.
+
+    The powers x_i^d are tabulated once per point and gathered through the
+    exponent matrix, so all monomials cost one numpy pass.
+    """
+    points = np.asarray(points, dtype=float)
+    exponents = np.asarray(exponents, dtype=int)
+    powers = points[:, :, None] ** np.arange(int(exponents.max(initial=0)) + 1)
+    return powers[:, np.arange(points.shape[1]), exponents].prod(axis=2)
+
+
+def row_sums(terms) -> np.ndarray:
+    """Sum each row of a 2-D array from left to right.
+
+    Unlike `@` and `sum(axis=1)`, whose rounding depends on how many rows
+    are summed together, a row's sum here is the same in a batch as on its
+    own, so batched stencils reproduce point-by-point ones bit for bit.
+    """
+    terms = np.asarray(terms, dtype=float)
+    if terms.shape[1] == 0:
+        return np.zeros(terms.shape[0])
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _one_point(batch):
+    """The scalar evaluator of a batched one: f(x) is batch([x])[0]."""
+    return lambda x: float(batch(np.asarray(x, dtype=float)[None, :])[0])
+
+
 @dataclass
 class ScalarField:
     """A smooth function R^m -> R with derivative access up to order 2+.
@@ -51,6 +82,10 @@ class ScalarField:
     for mixed Hessian entries.  Error model: O(h^4 f^(5)) + O(eps/h) for
     first derivatives, O(h^4 f^(6)) + O(eps/h^2) for pure second derivatives,
     O(h^2 f^(4)) for mixed ones.
+
+    Each stencil is evaluated as one (n, m) array of points: by `batch` in
+    one call when the field has a batched evaluator, otherwise by mapping
+    `func` over the rows.
     """
 
     func: Callable[[np.ndarray], float]
@@ -58,9 +93,16 @@ class ScalarField:
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     step_scale: float = FD_STEP_SCALE
+    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def _fd_step(self, x) -> float:
         return self.step_scale * (1.0 + float(np.linalg.norm(x)))
+
+    def _point(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.dim:
+            raise DimensionMismatchError("point has wrong dimension")
+        return x
 
     def value(self, x) -> float:
         return float(self.func(np.asarray(x, dtype=float)))
@@ -68,109 +110,87 @@ class ScalarField:
     def __call__(self, x) -> float:
         return self.value(x)
 
+    def values(self, points) -> np.ndarray:
+        """f at every row of an (n, m) array of points."""
+        points = np.asarray(points, dtype=float)
+        if self.batch is not None:
+            return np.asarray(self.batch(points), dtype=float)
+        return np.array([float(self.func(p)) for p in points])
+
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatchError("point has wrong dimension")
+        x = self._point(x)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
         h = self._fd_step(x)
-        g = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            g[i] = (
-                -self.value(x + 2 * h * e)
-                + 8.0 * self.value(x + h * e)
-                - 8.0 * self.value(x - h * e)
-                + self.value(x - 2 * h * e)
-            ) / (12.0 * h)
-        return g
+        eye = np.eye(self.dim)
+        steps = np.concatenate([2 * h * eye, h * eye, -h * eye, -2 * h * eye])
+        p2, p1, m1, m2 = self.values(x + steps).reshape(4, self.dim)
+        return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
 
     def hessian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatchError("point has wrong dimension")
+        x = self._point(x)
         if self.hess is not None:
             return np.asarray(self.hess(x), dtype=float)
         h = self._fd_step(x)
         m = self.dim
+        eye = np.eye(m)
+        rows, cols = np.triu_indices(m, 1)
+        ei, ej = h * eye[rows], h * eye[cols]
+        steps = np.concatenate([
+            np.zeros((1, m)), 2 * h * eye, h * eye, -h * eye, -2 * h * eye,
+            ei + ej, ei - ej, -ei + ej, -ei - ej,
+        ])
+        vals = self.values(x + steps)
+        f0 = vals[0]
+        p2, p1, m1, m2 = vals[1:1 + 4 * m].reshape(4, m)
+        pp, pm, mp, mm = vals[1 + 4 * m:].reshape(4, rows.size)
         out = np.empty((m, m))
-        f0 = self.value(x)
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = 1.0
-            out[i, i] = (
-                -self.value(x + 2 * h * e)
-                + 16.0 * self.value(x + h * e)
-                - 30.0 * f0
-                + 16.0 * self.value(x - h * e)
-                - self.value(x - 2 * h * e)
-            ) / (12.0 * h * h)
-        for i in range(m):
-            for j in range(i + 1, m):
-                ei = np.zeros(m)
-                ej = np.zeros(m)
-                ei[i] = 1.0
-                ej[j] = 1.0
-                val = (
-                    self.value(x + h * ei + h * ej)
-                    - self.value(x + h * ei - h * ej)
-                    - self.value(x - h * ei + h * ej)
-                    + self.value(x - h * ei - h * ej)
-                ) / (4.0 * h * h)
-                out[i, j] = out[j, i] = val
+        out[np.diag_indices(m)] = (
+            -p2 + 16.0 * p1 - 30.0 * f0 + 16.0 * m1 - m2
+        ) / (12.0 * h * h)
+        out[rows, cols] = out[cols, rows] = (pp - pm - mp + mm) / (4.0 * h * h)
         return out
 
     def laplacian(self, x) -> float:
         return float(np.trace(self.hessian(x)))
 
 
+def _differentiate(exponents, coeffs, i):
+    """(exponents, coefficients) of d/dx_i of sum_beta c_beta x^beta."""
+    lowered = exponents.copy()
+    lowered[:, i] = np.maximum(lowered[:, i] - 1, 0)
+    return lowered, coeffs * exponents[:, i]
+
+
 def polynomial_field(coeffs: dict, dim: int) -> ScalarField:
     """ScalarField for sum_beta c_beta x^beta with analytic derivatives.
 
-    coeffs maps multi-index tuples (length dim) to coefficients.
+    coeffs maps multi-index tuples (length dim) to coefficients.  Values,
+    gradients and Hessians are sums over exponent matrices (`monomial_values`).
     """
-    items = [(np.array(beta, dtype=int), float(c)) for beta, c in coeffs.items()]
-    for beta, _ in items:
-        if beta.shape[0] != dim:
-            raise DimensionMismatchError("multi-index length != dim")
+    if any(len(beta) != dim for beta in coeffs):
+        raise DimensionMismatchError("multi-index length != dim")
+    exponents = np.array(list(coeffs), dtype=int).reshape(len(coeffs), dim)
+    c = np.array(list(coeffs.values()), dtype=float)
+    first = [_differentiate(exponents, c, i) for i in range(dim)]
+    second = [_differentiate(e, dc, j) for e, dc in first for j in range(dim)]
+    grad_exps = np.concatenate([e for e, _ in first])
+    grad_c = np.concatenate([dc for _, dc in first]).reshape(dim, -1)
+    hess_exps = np.concatenate([e for e, _ in second])
+    hess_c = np.concatenate([dc for _, dc in second]).reshape(dim * dim, -1)
 
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return float(sum(c * np.prod(x ** beta) for beta, c in items))
+    def batch(points):
+        return row_sums(monomial_values(points, exponents) * c)
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(dim)
-        for beta, c in items:
-            for i in range(dim):
-                if beta[i] == 0:
-                    continue
-                b = beta.copy()
-                b[i] -= 1
-                g[i] += c * beta[i] * np.prod(x ** b)
-        return g
+        terms = monomial_values(np.asarray(x, dtype=float)[None, :], grad_exps)
+        return np.sum(terms.reshape(dim, -1) * grad_c, axis=1)
 
     def hess(x):
-        x = np.asarray(x, dtype=float)
-        hmat = np.zeros((dim, dim))
-        for beta, c in items:
-            for i in range(dim):
-                if beta[i] == 0:
-                    continue
-                for j in range(dim):
-                    bij = beta.copy()
-                    bij[i] -= 1
-                    factor = c * beta[i]
-                    if bij[j] == 0:
-                        continue
-                    bj = bij.copy()
-                    bj[j] -= 1
-                    hmat[i, j] += factor * bij[j] * np.prod(x ** bj)
-        return hmat
+        terms = monomial_values(np.asarray(x, dtype=float)[None, :], hess_exps)
+        return np.sum(terms.reshape(dim * dim, -1) * hess_c, axis=1).reshape(dim, dim)
 
-    return ScalarField(value, dim, grad=grad, hess=hess)
+    return ScalarField(_one_point(batch), dim, grad=grad, hess=hess, batch=batch)
 
 
 def complex_det_lu(matrix) -> tuple[float, float]:
@@ -247,16 +267,15 @@ def inversion_transform(field: ScalarField, m: int, direction: str = "forward") 
     if field.dim != m:
         raise DimensionMismatchError("field dimension != m")
 
-    def transformed(y):
-        y = np.asarray(y, dtype=float)
-        s2 = float(y @ y)
-        if s2 == 0.0:
+    def batch(points):
+        s2 = np.sum(points * points, axis=1)
+        if np.any(s2 == 0.0):
             raise ValueError("inversion transform is undefined at the origin")
-        return s2 ** (0.5 * (2 - m)) * field.value(y / s2)
+        return s2 ** (0.5 * (2 - m)) * field.values(points / s2[:, None])
 
     # composite evaluators carry extra rounding noise; a slightly larger
     # step balances it against the stencil truncation error
-    return ScalarField(transformed, m, step_scale=1e-3)
+    return ScalarField(_one_point(batch), m, step_scale=1e-3, batch=batch)
 
 
 def inversion_laplacian_pair(field_ball: ScalarField, m: int, y) -> tuple[float, float]:

@@ -31,9 +31,13 @@ recursion (match the t^l coefficient; 4 t^2 A'' contributes 4 l (l-1) c_l)
 so c_0 = 1 and c_1 = (K - c0) / (2 alpha).  Unless the bracket vanishes at
 some integer l (then A is a polynomial), the c_l grow factorially and the
 series is asymptotic only; it is summed to its smallest term, which near
-t = 0 leaves an exponentially small error.  Away from 0 the solution is
-continued by adaptive Runge-Kutta seeded from the series deep inside its
-reliable region; series and integration must agree on the overlap window.
+t = 0 leaves an exponentially small error.  Away from 0 the linear ODE is
+solved by Chebyshev-Lobatto collocation (Trefethen, Spectral Methods in
+MATLAB, 2000) on panels whose ends grow geometrically, seeded from the
+series deep inside its reliable region; series and collocation must agree
+on the overlap window.  The collocation error estimate is the gap between
+N and 2N nodes, and a gap above tolerance raises instead of returning an
+unchecked value.
 
 When K > c0, A is strictly increasing from A(0) = 1 and its logarithmic
 derivative A'/A stays within [0, (K - c0) / (2 alpha)], with the right
@@ -46,17 +50,19 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial import chebyshev
 
 from .errors import DimensionMismatchError
-from .graphs import ScalarField, polynomial_field
+from .graphs import ScalarField, monomial_values, polynomial_field, row_sums
 
 SERIES_FLOOR = 1e-22
-_RK_RTOL = 1e-13
-_RK_ATOL = 1e-15
+SERIES_TERMS = 600
+COLLOCATION_NODES = 24           # N; the error estimate compares N and 2N
+COLLOCATION_TOL = 1e-10          # bound on the relative N/2N gap
+PANEL_RATIO = 2.0                # panel ends grow geometrically by at most this
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +161,18 @@ class HarmonicPolynomial:
     degree: int
     coeffs: dict
 
+    @cached_property
+    def _table(self):
+        exponents = np.array(list(self.coeffs), dtype=int).reshape(-1, self.m)
+        return exponents, np.array(list(self.coeffs.values()), dtype=float)
+
+    def evaluate(self, points) -> np.ndarray:
+        """p at every row of an (n, m) array of points."""
+        exponents, c = self._table
+        return row_sums(monomial_values(points, exponents) * c)
+
     def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(
-            sum(c * np.prod(x ** np.array(beta)) for beta, c in self.coeffs.items())
-        )
+        return float(self.evaluate(np.asarray(x, dtype=float)[None, :])[0])
 
     def laplacian_coeffs(self) -> dict:
         out: dict = {}
@@ -188,13 +201,27 @@ class HarmonicPolynomial:
         return total
 
 
+def _sphere_moment_matrix(exponents: np.ndarray) -> np.ndarray:
+    """Sphere moments of all products of two monomials of one degree k:
+    M[a, b] = int x^(beta_a + beta_b) over S^{m-1}, from a table of lgamma at
+    half-integers (the closed form of `sphere_monomial_moment`)."""
+    merged = exponents[:, None, :] + exponents[None, :, :]
+    m = exponents.shape[1]
+    total = int(merged[0, 0].sum())
+    half_lgamma = np.array([math.lgamma(0.5 * (b + 1)) for b in range(total + 1)])
+    log_moment = half_lgamma[merged].sum(axis=2) - math.lgamma(0.5 * (total + m))
+    even = np.all(merged % 2 == 0, axis=2)
+    return np.where(even, 2.0 * np.exp(log_moment), 0.0)
+
+
 @lru_cache(maxsize=None)
 def harmonic_basis(m: int, k: int) -> tuple:
     """L^2(S^{m-1})-orthonormal basis of the degree-k harmonics on R^m.
 
     The kernel of the Laplacian on degree-k monomials is computed exactly
     over the rationals, then orthonormalized against the closed-form sphere
-    moments of monomials.
+    moments of monomials: with C the coefficient matrix and M the monomial
+    moment matrix, the Gram matrix is C M C^T.
     """
     if m < 3:
         raise DimensionMismatchError("m must be >= 3")
@@ -202,35 +229,22 @@ def harmonic_basis(m: int, k: int) -> tuple:
         raise ValueError("degree must be nonnegative")
     cols = monomials(m, k)
     if k < 2:
-        raw = [{beta: 1.0} for beta in cols]
+        raw = np.eye(len(cols))
     else:
-        basis_vecs = _fraction_nullspace(laplacian_matrix(m, k))
-        raw = [
-            {beta: float(v) for beta, v in zip(cols, vec) if v != 0}
-            for vec in basis_vecs
-        ]
-    polys = [HarmonicPolynomial(m, k, c) for c in raw]
+        raw = np.array(_fraction_nullspace(laplacian_matrix(m, k)), dtype=float)
     # symmetric orthonormalization via the sphere Gram matrix
-    n = len(polys)
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = polys[i].sphere_inner(polys[j])
+    gram = raw @ _sphere_moment_matrix(np.array(cols, dtype=int)) @ raw.T
     evals, evecs = np.linalg.eigh(gram)
     if np.min(evals) <= 0:
         raise RuntimeError("sphere Gram matrix is not positive definite")
     transform = evecs @ np.diag(evals ** -0.5) @ evecs.T
-    out = []
-    for j in range(n):
-        coeffs: dict = {}
-        for i in range(n):
-            w = transform[i, j]
-            if w == 0.0:
-                continue
-            for beta, c in polys[i].coeffs.items():
-                coeffs[beta] = coeffs.get(beta, 0.0) + w * c
-        out.append(HarmonicPolynomial(m, k, coeffs))
-    return tuple(out)
+    coeffs = transform.T @ raw
+    support = (transform.T != 0.0) @ (raw != 0.0)
+    return tuple(
+        HarmonicPolynomial(m, k, {beta: float(c) for beta, c, used
+                                  in zip(cols, row, used_row) if used})
+        for row, used_row in zip(coeffs, support)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,61 +281,141 @@ def taylor_c1(m: int, k: int, alpha: float, constant=None) -> float:
     return (k * (m + k - 2) - constant) / (2.0 * alpha)
 
 
-def _series_terms(m, k, alpha, t, deriv, damping, constant, lmax=600):
-    c = 1.0
-    yield 0, (1.0 if not deriv else 0.0)
-    for l in range(lmax):
-        bracket = taylor_recursion_bracket(m, k, l, damping, constant)
-        c_next = -c * bracket / (2.0 * alpha * (l + 1))
-        term = (l + 1) * c_next * t ** l if deriv else c_next * t ** (l + 1)
-        yield l + 1, term
-        c = c_next
-        if not np.isfinite(c):
-            return
+def _series_coefficients(m, k, alpha, damping, constant) -> np.ndarray:
+    """c_0 = 1, c_1, ..., c_SERIES_TERMS of the series at t = 0, cut after
+    the first non-finite coefficient."""
+    l = np.arange(SERIES_TERMS, dtype=float)
+    bracket = taylor_recursion_bracket(m, k, l, damping, constant)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.cumprod(np.concatenate(([1.0], -bracket / (2.0 * alpha * (l + 1.0)))))
+    finite = np.isfinite(coeffs)
+    return coeffs if finite.all() else coeffs[:int(np.argmin(finite)) + 1]
 
 
-def _series_sum(m, k, alpha, t, damping, constant, deriv=False):
+def _series_sum(coeffs, t, deriv=False):
     """Sum the asymptotic series at t, truncated at its globally smallest
-    term; returns (value, error_estimate)."""
-    partials = []
-    mags = []
-    total = 0.0
-    global_min = math.inf
-    grown = 0
-    for idx, term in _series_terms(m, k, alpha, t, deriv, damping, constant):
-        total += term
-        partials.append(total)
-        mag = abs(term)
-        mags.append(mag)
-        if idx == 0:
-            continue
-        if mag < SERIES_FLOOR * max(1.0, abs(total)):
-            return total, mag
-        if mag < global_min:
-            global_min = mag
-            grown = 0
+    term; returns (value, error_estimate).
+
+    The sum stops early at the first term below SERIES_FLOOR relative to the
+    partial sum, or once the terms have grown for four steps to 1e4 times the
+    smallest one so far.
+    """
+    index = np.arange(coeffs.size)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 past overflow
+        if deriv:
+            terms = index * coeffs * t ** np.maximum(index - 1, 0)
         else:
-            grown += 1
-        if grown >= 4 and mag > 1e4 * max(global_min, 1e-300):
-            break
-    idx_best = 1 + int(np.argmin(mags[1:]))
-    return partials[idx_best], mags[idx_best]
+            terms = coeffs * t ** index
+    finite = np.isfinite(terms)
+    if not finite.all():  # past overflow the terms carry no information
+        terms = terms[:max(2, int(np.argmin(finite)))]
+        index = index[:terms.size]
+    partials = np.cumsum(terms)
+    mags = np.abs(terms)
+    tail, tail_partials = mags[1:], partials[1:]
+    smallest = np.fmin.accumulate(tail)
+    before = np.concatenate(([math.inf], smallest[:-1]))
+    last_new = np.maximum.accumulate(np.where(tail < before, index[1:], 0))
+    floor_hit = tail < SERIES_FLOOR * np.maximum(1.0, np.abs(tail_partials))
+    grown = (index[1:] - last_new >= 4) & (
+        tail > 1e4 * np.maximum(smallest, 1e-300)
+    )
+    stops = np.flatnonzero(floor_hit | grown)
+    if stops.size and floor_hit[stops[0]]:
+        return tail_partials[stops[0]], tail[stops[0]]
+    window = tail[:stops[0] + 1] if stops.size else tail
+    best = 1 + int(np.argmin(window))
+    return partials[best], mags[best]
 
 
-def _ode_rhs(t, y, m, k, alpha, damping, constant):
-    big_k = k * (m + k - 2)
-    a, ap = y
-    app = -(2.0 * (alpha + damping * t) * ap + (constant - big_k) * a) / (4.0 * t * t)
-    return (ap, app)
+@lru_cache(maxsize=None)
+def _lobatto(n: int):
+    """Chebyshev-Lobatto nodes on [-1, 1] in ascending order, barycentric
+    weights, and the matrices J, J^2 that integrate the degree-n
+    interpolant of nodal values once and twice from the left end."""
+    x = -np.cos(np.pi * np.arange(n + 1) / n)
+    w = (-1.0) ** np.arange(n + 1)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    antiderivative = np.array(
+        [chebyshev.chebint(col, lbnd=-1.0) for col in np.eye(n + 1)]
+    ).T
+    integrate = chebyshev.chebvander(x, n + 1) @ antiderivative @ np.linalg.inv(
+        chebyshev.chebvander(x, n)
+    )
+    integrate[0] = 0.0
+    return x, w, integrate, integrate @ integrate
+
+
+def _collocate(n, ends, seed, m, k, alpha, damping, constant):
+    """Values and t-derivatives of A at the n+1 nodes of every panel.
+
+    The unknown on a panel [a, b] is A'' at its nodes.  A' and A are its
+    spectral integrals from a, with the left-end slope and value as the
+    integration constants, and the ODE is collocated at every node; unlike
+    differentiation matrices, the integrals keep the system well
+    conditioned.  Every panel is solved for the unit seeds (1, 0) and (0, 1)
+    in one batched solve; the seed of each panel is the right-end value and
+    slope of the panel before it, and the first one comes from the series.
+    """
+    x, _, integrate, integrate2 = _lobatto(n)
+    shift = constant - k * (m + k - 2)
+    half = 0.5 * (ends[1:] - ends[:-1])[:, None]
+    offset = half * (x + 1.0)                     # t - a at the nodes
+    t = ends[:-1, None] + offset
+    drift = 2.0 * (alpha + damping * t)
+    once = half[:, :, None] * integrate
+    twice = (half * half)[:, :, None] * integrate2
+    system = drift[:, :, None] * once + shift * twice
+    system[:, np.arange(n + 1), np.arange(n + 1)] += 4.0 * t * t
+    rhs = np.stack([np.full_like(t, -shift), -drift - shift * offset], axis=2)
+    curvature = np.linalg.solve(system, rhs)
+    unit_slopes = once @ curvature
+    unit_slopes[:, :, 1] += 1.0
+    unit = twice @ curvature
+    unit[:, :, 0] += 1.0
+    unit[:, :, 1] += offset
+    seeds = np.empty((len(ends) - 1, 2))
+    seeds[0] = seed
+    for p in range(1, len(seeds)):
+        seeds[p] = unit[p - 1, n] @ seeds[p - 1], unit_slopes[p - 1, n] @ seeds[p - 1]
+    values = np.einsum("pij,pj->pi", unit, seeds)
+    slopes = np.einsum("pij,pj->pi", unit_slopes, seeds)
+    return values, slopes
+
+
+def _n2n_gap(coarse, fine) -> float:
+    """Largest relative gap between the N-node and 2N-node solutions on the
+    N nodes (every other 2N node), over values and slopes."""
+    gap = 0.0
+    for low, high in zip(coarse, fine):
+        high = high[:, ::2]
+        gap = max(gap, float(np.max(np.abs(low - high) / np.maximum(1.0, np.abs(high)))))
+    return gap
+
+
+def _barycentric(x, w, s, rows):
+    """Interpolate rows[i] (values on the nodes x, weights w) at s[i]."""
+    diff = s[:, None] - x[None, :]
+    exact = diff == 0.0
+    diff[exact] = 1.0
+    q = w / diff
+    out = row_sums(q * rows) / row_sums(q)
+    hit = exact.any(axis=1)
+    out[hit] = rows[hit][exact[hit]]
+    return out
 
 
 @dataclass
 class RadialSolution:
-    """Radial factor A: asymptotic series near 0, Runge-Kutta beyond.
+    """Radial factor A: asymptotic series near 0, spectral collocation beyond.
 
-    Evaluation uses the series on [0, t_switch] and the dense integrator
-    output on [t_switch, t_max]; `overlap_window` exposes the interval where
-    both representations are reliable and must agree.
+    Evaluation uses the series on [0, t_switch] and barycentric
+    interpolation of the collocation solution on [t_switch, t_max];
+    `overlap_window` exposes the interval where both representations are
+    reliable and must agree.  `panel_count` and `error_estimate` (the
+    relative gap between N and 2N collocation nodes) say how the
+    collocation part was obtained.
     """
 
     m: int
@@ -333,11 +427,18 @@ class RadialSolution:
     t_switch: float
     t_seed: float
     coeffs: np.ndarray
-    _dense: object
+    panel_ends: np.ndarray
+    node_values: np.ndarray
+    node_slopes: np.ndarray
+    error_estimate: float
 
     @property
     def eigenvalue(self) -> int:
         return self.k * (self.m + self.k - 2)
+
+    @property
+    def panel_count(self) -> int:
+        return len(self.panel_ends) - 1
 
     def log_derivative_bound(self) -> float:
         """Upper bound for A'/A when the eigenvalue exceeds the ODE's
@@ -350,26 +451,36 @@ class RadialSolution:
         return (self.eigenvalue - self.constant) / (2.0 * self.alpha)
 
     def series_value(self, t: float, deriv: bool = False) -> float:
-        return _series_sum(self.m, self.k, self.alpha, t,
-                           self.damping, self.constant, deriv)[0]
+        return float(_series_sum(self.coeffs, t, deriv)[0])
+
+    def _collocated(self, t: np.ndarray, deriv: bool) -> np.ndarray:
+        x, w, _, _ = _lobatto(self.node_values.shape[1] - 1)
+        ends = self.panel_ends
+        panel = np.clip(np.searchsorted(ends, t, side="right") - 1, 0, len(ends) - 2)
+        left, right = ends[panel], ends[panel + 1]
+        s = np.clip(2.0 * (t - left) / (right - left) - 1.0, -1.0, 1.0)
+        rows = (self.node_slopes if deriv else self.node_values)[panel]
+        return _barycentric(x, w, s, rows)
+
+    def values(self, t, deriv: bool = False) -> np.ndarray:
+        """A (or A' with deriv=True) at every entry of an array of t."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any(t < 0.0):
+            raise ValueError("t must be nonnegative")
+        near = t <= self.t_switch
+        far = t[~near]
+        if far.size and far.max() > self.t_max + 1e-12:
+            raise ValueError(f"t = {far.max()} beyond solved range {self.t_max}")
+        out = np.empty(t.shape)
+        out[near] = [self.series_value(float(tt), deriv) for tt in t[near]]
+        out[~near] = self._collocated(np.minimum(far, self.t_max), deriv)
+        return out
 
     def value(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("t must be nonnegative")
-        if t <= self.t_switch:
-            return self.series_value(t)
-        if t > self.t_max + 1e-12:
-            raise ValueError(f"t = {t} beyond solved range {self.t_max}")
-        return float(self._dense(min(t, self.t_max))[0])
+        return float(self.values(t)[0])
 
     def derivative(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("t must be nonnegative")
-        if t <= self.t_switch:
-            return self.series_value(t, deriv=True)
-        if t > self.t_max + 1e-12:
-            raise ValueError(f"t = {t} beyond solved range {self.t_max}")
-        return float(self._dense(min(t, self.t_max))[1])
+        return float(self.values(t, deriv=True)[0])
 
     def __call__(self, t: float) -> float:
         return self.value(t)
@@ -378,68 +489,59 @@ class RadialSolution:
         return np.linspace(self.t_seed, self.t_switch, points)
 
     def overlap_disagreement(self, points: int = 7) -> float:
-        worst = 0.0
-        for t in self.overlap_window(points):
-            series = self.series_value(t)
-            dense = float(self._dense(t)[0])
-            worst = max(worst, abs(series - dense) / max(1.0, abs(series)))
-        return worst
+        window = self.overlap_window(points)
+        series = np.array([self.series_value(float(t)) for t in window])
+        collocated = self._collocated(window, deriv=False)
+        return float(np.max(np.abs(series - collocated) / np.maximum(1.0, np.abs(series))))
 
 
 def solve_radial_mode(m: int, k: int, alpha: float, t_max: float = 2.0,
                       damping=None, constant=None) -> RadialSolution:
-    """Solve the radial hierarchy on [0, t_max] (series + RK continuation).
+    """Solve the radial hierarchy on [0, t_max] (series + collocation).
 
     Defaults to the damping/constant pair (m+6, 3(m+1)), whose threshold
     K > 3 (m+1) governs the monotonicity and log-derivative bounds.  The
-    integrator is seeded from the series at t_seed = t_switch/10, deep
-    inside the region where the optimally truncated series is reliable; the
     handoff point is t_switch = min(0.01, alpha/10), halved while the
-    smallest series term there is not yet below 1e-10.
+    smallest series term there is not yet below 1e-10.  From t_seed =
+    t_switch/10, deep inside the region where the optimally truncated series
+    is reliable, the linear ODE is solved by Chebyshev-Lobatto collocation
+    on panels whose ends grow by a ratio of at most 2 up to t_max, once with
+    N and once with 2N nodes.  The 2N solution is kept; a relative N/2N gap
+    above COLLOCATION_TOL raises RuntimeError.
     """
     if m < 3 or k < 0 or alpha <= 0.0 or t_max <= 0.0:
         raise ValueError("need m >= 3, k >= 0, alpha > 0, t_max > 0")
     damping = default_damping(m) if damping is None else float(damping)
     constant = default_constant(m) if constant is None else float(constant)
+    coeffs = _series_coefficients(m, k, alpha, damping, constant)
     t_switch = min(0.01, alpha / 10.0)
     for _ in range(40):
-        _, err = _series_sum(m, k, alpha, t_switch, damping, constant)
+        _, err = _series_sum(coeffs, t_switch)
         if err < 1e-10:
             break
         t_switch *= 0.5
     else:
         raise RuntimeError("series unreliable at every candidate handoff point")
     t_seed = t_switch / 10.0
-    a0, _ = _series_sum(m, k, alpha, t_seed, damping, constant)
-    ap0, _ = _series_sum(m, k, alpha, t_seed, damping, constant, deriv=True)
-    sol = solve_ivp(
-        _ode_rhs,
-        (t_seed, t_max),
-        [a0, ap0],
-        args=(m, k, alpha, damping, constant),
-        method="DOP853",
-        rtol=_RK_RTOL,
-        atol=_RK_ATOL,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise RuntimeError(f"radial ODE integration failed: {sol.message}")
-
-    # keep coefficients up to the term falling below the floor at t_switch
-    coeffs = [1.0]
-    c = 1.0
-    for l in range(600):
-        c = -c * taylor_recursion_bracket(m, k, l, damping, constant) / (
-            2.0 * alpha * (l + 1)
+    seed = (_series_sum(coeffs, t_seed)[0], _series_sum(coeffs, t_seed, deriv=True)[0])
+    t_end = max(t_max, t_switch)
+    panels = math.ceil(math.log(t_end / t_seed) / math.log(PANEL_RATIO) - 1e-9)
+    ends = t_seed * (t_end / t_seed) ** (np.arange(panels + 1) / panels)
+    ends[-1] = t_end
+    args = (ends, seed, m, k, alpha, damping, constant)
+    coarse = _collocate(COLLOCATION_NODES, *args)
+    fine = _collocate(2 * COLLOCATION_NODES, *args)
+    gap = _n2n_gap(coarse, fine)
+    if not gap <= COLLOCATION_TOL:
+        raise RuntimeError(
+            f"radial collocation N/2N gap {gap:.3e} exceeds {COLLOCATION_TOL:.0e} "
+            f"at (m, k, alpha) = ({m}, {k}, {alpha})"
         )
-        coeffs.append(c)
-        mag = abs(c) * t_switch ** (l + 1)
-        if mag < SERIES_FLOOR or (l > 4 and mag > 1e6):
-            break
     return RadialSolution(
         m=m, k=k, alpha=alpha, damping=damping, constant=constant,
-        t_max=t_max, t_switch=t_switch, t_seed=t_seed,
-        coeffs=np.array(coeffs), _dense=sol.sol,
+        t_max=t_max, t_switch=t_switch, t_seed=t_seed, coeffs=coeffs,
+        panel_ends=ends, node_values=fine[0], node_slopes=fine[1],
+        error_estimate=gap,
     )
 
 
@@ -459,11 +561,9 @@ def check_log_derivative_bound(solution: RadialSolution, t_grid, slack: float = 
     """0 <= A'/A <= (K - c0)/(2 alpha) at every grid point, within the given
     slack.  Raises ValueError when the threshold condition K > c0 fails."""
     bound = solution.log_derivative_bound()
-    for t in np.asarray(t_grid, dtype=float):
-        ld = solution.derivative(float(t)) / solution.value(float(t))
-        if not (-slack <= ld <= bound + slack):
-            return False
-    return True
+    t_grid = np.asarray(t_grid, dtype=float)
+    ld = solution.values(t_grid, deriv=True) / solution.values(t_grid)
+    return bool(np.all((ld >= -slack) & (ld <= bound + slack)))
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +594,9 @@ class ExpansionMode:
         return self.radial.alpha
 
 
-def assemble_expansion(modes, x) -> float:
-    """f(x) = r^{-(m+2)} e^{-alpha r^2/2} sum_k p_k(x/r) A_k(r^{-2}).
+def assemble_expansion_batch(modes, points) -> np.ndarray:
+    """f(x) = r^{-(m+2)} e^{-alpha r^2/2} sum_k p_k(x/r) A_k(r^{-2}) at every
+    row x of an (n, m) array of points, one numpy pass per mode.
 
     All modes must share m and alpha, and their radial factors must belong
     to the separation hierarchy (see `solve_separation_radial`), so that the
@@ -503,8 +604,9 @@ def assemble_expansion(modes, x) -> float:
     positive and inside the radial solutions' solved range.
     """
     modes = list(modes)
+    points = np.asarray(points, dtype=float)
     if not modes:
-        return 0.0
+        return np.zeros(points.shape[0])
     m = modes[0].m
     alpha = modes[0].alpha
     for mode in modes:
@@ -517,20 +619,29 @@ def assemble_expansion(modes, x) -> float:
                 "assembly needs separation-hierarchy radial factors; build "
                 "them with solve_separation_radial"
             )
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r <= 0.0:
+    r = np.linalg.norm(points, axis=1)
+    if np.any(r <= 0.0):
         raise ValueError("assembly requires r > 0")
     t = r ** -2
-    total = sum(mode.poly(x / r) * mode.radial.value(t) for mode in modes)
-    return r ** (-(m + 2)) * math.exp(-0.5 * alpha * r * r) * total
+    directions = points / r[:, None]
+    total = sum(mode.poly.evaluate(directions) * mode.radial.values(t) for mode in modes)
+    return r ** (-(m + 2)) * np.exp(-0.5 * alpha * r * r) * total
+
+
+def assemble_expansion(modes, x) -> float:
+    """The assembled expansion at one point x (see `assemble_expansion_batch`)."""
+    return float(assemble_expansion_batch(modes, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def expansion_field(modes) -> ScalarField:
     """The assembled expansion as a ScalarField (finite-difference
-    derivatives), for residual checks against the linearized operator."""
+    derivatives, each stencil assembled in one batch), for residual checks
+    against the linearized operator."""
     modes = list(modes)
     if not modes:
         raise ValueError("need at least one mode")
-    m = modes[0].m
-    return ScalarField(lambda x: assemble_expansion(modes, x), m)
+
+    def batch(points):
+        return assemble_expansion_batch(modes, points)
+
+    return ScalarField(lambda x: assemble_expansion(modes, x), modes[0].m, batch=batch)

@@ -222,3 +222,21 @@ def test_numerical_failure_exits_one_with_error_line(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: QuadratureError:")
         assert "Traceback" not in err
+
+
+def test_expansion_reports_collocation():
+    proc = run_cli("expansion", "--m", "4", "--k", "3", "--alpha", "0.5")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["collocationPanels"] > 0
+    assert 0.0 <= report["collocationErrorEstimate"] < 1e-10
+
+
+def test_collocation_failure_exits_one_with_error_line(monkeypatch, capsys):
+    from slaglab import cli, modes
+
+    monkeypatch.setattr(modes, "_n2n_gap", lambda coarse, fine: 1e-6)
+    assert cli.main(["expansion", "--m", "3", "--k", "5", "--alpha", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: RuntimeError:")
+    assert "N/2N gap" in err and "Traceback" not in err

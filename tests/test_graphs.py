@@ -156,3 +156,74 @@ def test_inversion_laplacian_identity():
             y *= rng.uniform(0.6, 1.2) / np.linalg.norm(y)
             lhs, rhs = inversion_laplacian_pair(field, m, y)
             assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# batched stencils
+# ---------------------------------------------------------------------------
+
+def _assert_close_rel(batched, scalar, rel):
+    batched, scalar = np.asarray(batched), np.asarray(scalar)
+    scale = max(1e-300, float(np.max(np.abs(scalar))))
+    assert float(np.max(np.abs(batched - scalar))) <= rel * scale
+
+
+def _expansion_case():
+    from slaglab.modes import (
+        ExpansionMode, expansion_field, harmonic_basis, solve_separation_radial,
+    )
+
+    m, alpha = 4, 1.0
+    modes = [ExpansionMode(harmonic_basis(m, k)[1], solve_separation_radial(m, k, alpha))
+             for k in (2, 3)]
+    return m, alpha, modes, expansion_field(modes)
+
+
+def test_expansion_field_batch_matches_independent_formula():
+    m, alpha, modes, field = _expansion_case()
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(12, m))
+    points *= (rng.uniform(1.0, 6.0, 12) / np.linalg.norm(points, axis=1))[:, None]
+    expected = []
+    for x in points:
+        r = float(np.linalg.norm(x))
+        total = 0.0
+        for mode in modes:
+            poly = sum(c * np.prod((x / r) ** np.array(beta))
+                       for beta, c in mode.poly.coeffs.items())
+            total += poly * mode.radial.value(r ** -2)
+        expected.append(r ** (-(m + 2)) * math.exp(-0.5 * alpha * r * r) * total)
+    np.testing.assert_allclose(field.values(points), expected, rtol=1e-13)
+
+
+def test_batched_stencils_match_scalar_stencils():
+    rng = np.random.default_rng(9)
+    m, _, _, expansion = _expansion_case()
+    cubic = _random_cubic(rng, m)
+    for field, radius in ((expansion, (2.0, 6.0)),
+                          (inversion_transform(cubic, m, "backward"), (0.8, 1.6))):
+        scalar = ScalarField(field.func, m, step_scale=field.step_scale)
+        assert scalar.batch is None and field.batch is not None
+        for _ in range(5):
+            x = rng.normal(size=m)
+            x *= rng.uniform(*radius) / np.linalg.norm(x)
+            _assert_close_rel(field.gradient(x), scalar.gradient(x), 1e-12)
+            _assert_close_rel(field.hessian(x), scalar.hessian(x), 1e-12)
+
+
+def test_polynomial_field_derivatives_in_closed_form():
+    # p = 2 x^2 y^3 z - 3 x z^2 + 5
+    field = polynomial_field({(2, 3, 1): 2.0, (1, 0, 2): -3.0, (0, 0, 0): 5.0}, 3)
+    x, y, z = 0.7, -1.3, 0.4
+    point = np.array([x, y, z])
+    assert field.value(point) == pytest.approx(2 * x**2 * y**3 * z - 3 * x * z**2 + 5, rel=1e-14)
+    grad = [4 * x * y**3 * z - 3 * z**2, 6 * x**2 * y**2 * z, 2 * x**2 * y**3 - 6 * x * z]
+    np.testing.assert_allclose(field.gradient(point), grad, rtol=1e-14)
+    hess = [
+        [4 * y**3 * z, 12 * x * y**2 * z, 4 * x * y**3 - 6 * z],
+        [12 * x * y**2 * z, 12 * x**2 * y * z, 6 * x**2 * y**2],
+        [4 * x * y**3 - 6 * z, 6 * x**2 * y**2, -6 * x],
+    ]
+    np.testing.assert_allclose(field.hessian(point), hess, rtol=1e-14)
+    np.testing.assert_allclose(field.values(np.array([point, 2 * point])),
+                               [field.value(point), field.value(2 * point)], rtol=1e-15)

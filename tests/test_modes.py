@@ -257,3 +257,164 @@ def test_assembly_rejects_default_hierarchy_radials():
     poly = harmonic_basis(3, 2)[0]
     with pytest.raises(ValueError):
         assemble_expansion([ExpansionMode(poly, radial)], np.array([2.0, 1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# spectral collocation of the radial ODE
+# ---------------------------------------------------------------------------
+
+def _rk_oracle(solution, t_max):
+    """DOP853 at rtol 1e-13 from the solution's own seed point."""
+    from scipy.integrate import solve_ivp
+
+    big_k = solution.eigenvalue
+
+    def rhs(t, y):
+        a, ap = y
+        app = -(2.0 * (solution.alpha + solution.damping * t) * ap
+                + (solution.constant - big_k) * a) / (4.0 * t * t)
+        return (ap, app)
+
+    seed = [solution.series_value(solution.t_seed),
+            solution.series_value(solution.t_seed, deriv=True)]
+    sol = solve_ivp(rhs, (solution.t_seed, t_max), seed, method="DOP853",
+                    rtol=1e-13, atol=1e-15, dense_output=True)
+    assert sol.success
+    return sol.sol
+
+
+ORACLE_CASES = [
+    (3, 0, 1.0), (4, 3, 2.0), (5, 6, 0.5),
+    # edge probes: large k, large alpha, small alpha, steep growth
+    (3, 20, 0.1), (3, 2, 10.0), (6, 0, 0.05), (5, 8, 0.5),
+]
+
+
+@pytest.mark.parametrize("separation", [False, True])
+@pytest.mark.parametrize("m,k,alpha", ORACLE_CASES)
+def test_collocation_matches_runge_kutta_oracle(m, k, alpha, separation):
+    solve = solve_separation_radial if separation else solve_radial_mode
+    solution = solve(m, k, alpha, t_max=2.0)
+    oracle = _rk_oracle(solution, 2.0)
+    # at t_switch itself the series answers; the grid starts just past it
+    grid = np.linspace(solution.t_switch, 2.0, 60)[1:]
+    ref_a, ref_ap = oracle(grid)
+    values = np.array([solution.value(float(t)) for t in grid])
+    slopes = np.array([solution.derivative(float(t)) for t in grid])
+    assert np.all(np.abs(values - ref_a) <= 1e-9 * np.maximum(1.0, np.abs(ref_a)))
+    assert np.all(np.abs(slopes - ref_ap) <= 1e-9 * np.maximum(1.0, np.abs(ref_ap)))
+    assert solution.error_estimate < 1e-10
+    assert solution.overlap_disagreement() < 1e-9
+
+
+def test_batched_radial_values_match_scalar_calls():
+    solution = solve_separation_radial(4, 3, 1.0)
+    grid = np.concatenate([[0.0], solution.overlap_window(), np.linspace(0.02, 2.0, 17),
+                           solution.panel_ends])
+    for deriv in (False, True):
+        batched = solution.values(grid, deriv=deriv)
+        one_by_one = [solution.derivative(t) if deriv else solution.value(t) for t in grid]
+        np.testing.assert_array_equal(batched, one_by_one)
+
+
+def test_collocation_reports_panels_and_error_estimate():
+    solution = solve_radial_mode(3, 5, 1.0, t_max=2.0)
+    ends = solution.panel_ends
+    assert solution.panel_count == len(ends) - 1 > 0
+    assert ends[0] == solution.t_seed and ends[-1] == 2.0
+    assert np.all(ends[1:] / ends[:-1] <= 2.0 + 1e-12)
+    assert 0.0 <= solution.error_estimate < 1e-10
+
+
+def test_collocation_gap_above_bound_raises(monkeypatch):
+    from slaglab import modes
+
+    monkeypatch.setattr(modes, "_n2n_gap", lambda coarse, fine: 1e-6)
+    with pytest.raises(RuntimeError, match="N/2N gap"):
+        solve_radial_mode(3, 5, 1.0)
+
+
+def test_series_derivative_finite_across_overlap_window():
+    # the smallest term stays above the floor here, and the terms overflow
+    # before they grow by 1e4: the sum must stop at the last finite term
+    solution = solve_separation_radial(6, 0, 0.05)
+    for t in solution.overlap_window(25):
+        assert math.isfinite(solution.series_value(float(t), deriv=True))
+        assert math.isfinite(solution.series_value(float(t)))
+
+
+def test_moment_matrix_matches_sphere_moments():
+    from slaglab.modes import _sphere_moment_matrix
+
+    cols = monomials(4, 4)
+    matrix = _sphere_moment_matrix(np.array(cols))
+    for a, beta in enumerate(cols):
+        for b, gamma in enumerate(cols):
+            merged = tuple(x + y for x, y in zip(beta, gamma))
+            assert matrix[a, b] == pytest.approx(sphere_monomial_moment(merged), rel=1e-13)
+
+
+def test_larger_basis_is_orthonormal_on_the_sphere():
+    basis = harmonic_basis(5, 4)
+    for i, j in ((0, 0), (0, 1), (7, 7), (3, 20), (len(basis) - 1, len(basis) - 1)):
+        inner = basis[i].sphere_inner(basis[j])
+        assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, slaglab; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _series_sum_loop(coeffs, t, deriv):
+    """Reference: the smallest-term truncation rule as a term-by-term loop."""
+    partials, mags = [], []
+    total, global_min, grown = 0.0, math.inf, 0
+    for idx, c in enumerate(coeffs.tolist()):
+        term = idx * c * t ** max(idx - 1, 0) if deriv else c * t ** idx
+        if idx > 1 and not math.isfinite(term):
+            break
+        total += term
+        partials.append(total)
+        mag = abs(term)
+        mags.append(mag)
+        if idx == 0:
+            continue
+        if mag < 1e-22 * max(1.0, abs(total)):
+            return total, mag
+        if mag < global_min:
+            global_min, grown = mag, 0
+        else:
+            grown += 1
+        if grown >= 4 and mag > 1e4 * max(global_min, 1e-300):
+            break
+    best = 1 + int(np.argmin(mags[1:]))
+    return partials[best], mags[best]
+
+
+def test_series_sum_matches_term_by_term_loop():
+    from slaglab.modes import _series_coefficients, _series_sum
+
+    for (m, k, alpha, damping, constant) in ((3, 5, 1.0, 9, 12), (5, 8, 0.5, 13, 28),
+                                             (6, 0, 0.05, 14, 32), (3, 20, 0.1, 9, 12)):
+        coeffs = _series_coefficients(m, k, alpha, damping, constant)
+        c, loop = 1.0, [1.0]
+        for l in range(len(coeffs) - 1):
+            c = -c * taylor_recursion_bracket(m, k, l, damping, constant) / (2.0 * alpha * (l + 1))
+            loop.append(c)
+        loop = np.array(loop)
+        finite = np.isfinite(coeffs) & np.isfinite(loop)
+        assert finite.sum() >= len(coeffs) - 2
+        np.testing.assert_allclose(coeffs[finite], loop[finite], rtol=1e-12)
+        for t in np.concatenate([[0.0], np.geomspace(1e-6, 0.05, 40)]):
+            for deriv in (False, True):
+                # numpy's power and Python's ** may differ in the last bit
+                value, err = _series_sum(coeffs, float(t), deriv)
+                ref_value, ref_err = _series_sum_loop(coeffs, float(t), deriv)
+                assert value == pytest.approx(ref_value, rel=1e-13, abs=1e-300)
+                assert err == pytest.approx(ref_err, rel=1e-13, abs=1e-300)
