@@ -6,12 +6,17 @@ degree by exactly one and counts strips mod 2.  Strip counts are inputs,
 never computed here: the module is the bookkeeping engine for complexes
 whose counts come from elsewhere.
 
-Cohomology dimensions come from GF(2) Gaussian elimination on bit-packed
-rows (Python integers as bit sets).  The golden values reproduced by the
-test suite: a transverse sphere pair meeting in a single point has
-cohomology Z2 in degree 0 in one order and degree m in the other, and a
-compactified plane-pair Lagrangian has the total cohomology of an m-sphere,
-{0: 1, m: 1}.
+The differential is indexed once, at construction, as a map from each
+source generator to its targets; the d^2 check walks that index.  Cohomology
+dimensions come from one GF(2) elimination per degree: the rows of d_k are
+bit-packed from the index (Python integers as bit sets, one bit per
+generator of degree k+1) and reduced by leading-bit pivots, so each rank is
+taken once and no rank scans the whole differential.
+
+The golden values reproduced by the test suite: a transverse sphere pair
+meeting in a single point has cohomology Z2 in degree 0 in one order and
+degree m in the other, and a compactified plane-pair Lagrangian has the
+total cohomology of an m-sphere, {0: 1, m: 1}.
 
 Serialization schema (JSON):
 
@@ -43,17 +48,20 @@ class Generator:
 
 
 def gf2_rank(rows) -> int:
-    """Rank over GF(2) of bit-packed rows (Python ints)."""
-    pivots = []
-    rank = 0
+    """Rank over GF(2) of bit-packed rows (Python ints).
+
+    Pivots are keyed by their leading bit: a row is reduced by the pivot
+    sharing its leading bit until it vanishes or its leading bit is new.
+    """
+    pivots: dict = {}
     for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+        while row:
+            lead = row.bit_length()
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    return len(pivots)
 
 
 class FloerComplexZ2:
@@ -63,7 +71,11 @@ class FloerComplexZ2:
         self.generators = tuple(generators)
         self.differential = frozenset(differential)
         self._by_id = {g.id: g for g in self.generators}
+        self._targets: dict = {}  # source id -> list of target ids
+        for p_id, q_id in self.differential:
+            self._targets.setdefault(p_id, []).append(q_id)
         self._validate()
+        self._cohomology = None
 
     def _validate(self):
         if len(self._by_id) != len(self.generators):
@@ -79,9 +91,7 @@ class FloerComplexZ2:
                     "the differential must raise degree by exactly 1"
                 )
         # d^2 = 0 over GF(2): paths p -> q -> r must cancel in pairs
-        targets = {}
-        for p_id, q_id in self.differential:
-            targets.setdefault(p_id, set()).add(q_id)
+        targets = self._targets
         for p_id, mids in targets.items():
             parity: dict = {}
             for q_id in mids:
@@ -103,29 +113,32 @@ class FloerComplexZ2:
             out[g.degree] = out.get(g.degree, 0) + 1
         return out
 
+    def _rows(self, degree: int) -> list:
+        """Bit-packed rows of d: CF^degree -> CF^{degree+1}, one per source."""
+        target_bit = {g.id: i for i, g in
+                      enumerate(g for g in self.generators if g.degree == degree + 1)}
+        return [sum(1 << target_bit[q_id] for q_id in self._targets.get(g.id, ()))
+                for g in self.generators if g.degree == degree]
+
     def differential_rank(self, degree: int) -> int:
         """Rank of d: CF^degree -> CF^{degree+1} over GF(2)."""
-        sources = [g.id for g in self.generators if g.degree == degree]
-        targets = [g.id for g in self.generators if g.degree == degree + 1]
-        target_bit = {q_id: i for i, q_id in enumerate(targets)}
-        rows = []
-        for p_id in sources:
-            row = 0
-            for (a, b) in self.differential:
-                if a == p_id:
-                    row |= 1 << target_bit[b]
-            rows.append(row)
-        return gf2_rank(rows)
+        return gf2_rank(self._rows(degree))
 
     def cohomology_dims(self) -> dict:
-        """dim HF^k = dim CF^k - rank d_k - rank d_{k-1}, nonzero entries only."""
-        chain = self.chain_dims()
-        out = {}
-        for k, dim in chain.items():
-            hk = dim - self.differential_rank(k) - self.differential_rank(k - 1)
-            if hk:
-                out[k] = hk
-        return out
+        """dim HF^k = dim CF^k - rank d_k - rank d_{k-1}, nonzero entries only.
+
+        Each rank is taken once; the result is kept, since the complex is
+        immutable.
+        """
+        if self._cohomology is None:
+            chain = self.chain_dims()
+            rank = {k: self.differential_rank(k) for k in chain}
+            self._cohomology = {}
+            for k, dim in chain.items():
+                hk = dim - rank[k] - rank.get(k - 1, 0)
+                if hk:
+                    self._cohomology[k] = hk
+        return dict(self._cohomology)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * d for k, d in self.chain_dims().items())

@@ -117,15 +117,23 @@ class ScalarField:
             return np.asarray(self.batch(points), dtype=float)
         return np.array([float(self.func(p)) for p in points])
 
+    def _stencil(self, x, h, extra=None):
+        """f at x + k h e_i for k = 2, 1, -1, -2, then at x + each row of
+        extra, in one batch: ((4, m) axis values, values at the extra points)."""
+        eye = np.eye(self.dim)
+        steps = [2 * h * eye, h * eye, -h * eye, -2 * h * eye]
+        if extra is not None:
+            steps.append(extra)
+        vals = self.values(x + np.concatenate(steps))
+        return vals[:4 * self.dim].reshape(4, self.dim), vals[4 * self.dim:]
+
     def gradient(self, x) -> np.ndarray:
         x = self._point(x)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
         h = self._fd_step(x)
-        eye = np.eye(self.dim)
-        steps = np.concatenate([2 * h * eye, h * eye, -h * eye, -2 * h * eye])
-        p2, p1, m1, m2 = self.values(x + steps).reshape(4, self.dim)
-        return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+        axis, _ = self._stencil(x, h)
+        return _first_derivatives(h, axis)
 
     def hessian(self, x) -> np.ndarray:
         x = self._point(x)
@@ -136,23 +144,50 @@ class ScalarField:
         eye = np.eye(m)
         rows, cols = np.triu_indices(m, 1)
         ei, ej = h * eye[rows], h * eye[cols]
-        steps = np.concatenate([
-            np.zeros((1, m)), 2 * h * eye, h * eye, -h * eye, -2 * h * eye,
-            ei + ej, ei - ej, -ei + ej, -ei - ej,
-        ])
-        vals = self.values(x + steps)
-        f0 = vals[0]
-        p2, p1, m1, m2 = vals[1:1 + 4 * m].reshape(4, m)
-        pp, pm, mp, mm = vals[1 + 4 * m:].reshape(4, rows.size)
+        axis, rest = self._stencil(x, h, np.concatenate([
+            np.zeros((1, m)), ei + ej, ei - ej, -ei + ej, -ei - ej,
+        ]))
+        pp, pm, mp, mm = rest[1:].reshape(4, rows.size)
         out = np.empty((m, m))
-        out[np.diag_indices(m)] = (
-            -p2 + 16.0 * p1 - 30.0 * f0 + 16.0 * m1 - m2
-        ) / (12.0 * h * h)
+        out[np.diag_indices(m)] = _pure_second_derivatives(h, rest[0], axis)
         out[rows, cols] = out[cols, rows] = (pp - pm - mp + mm) / (4.0 * h * h)
         return out
 
+    def jet(self, x) -> tuple[float, np.ndarray, float]:
+        """(value, gradient, Laplacian) at x, equal to `value`, `gradient`
+        and `laplacian` bit for bit.
+
+        Without an analytic Hessian all three come from one batch of the
+        1 + 4m pure stencil points.
+        """
+        if self.hess is not None:
+            return self.value(x), self.gradient(x), self.laplacian(x)
+        x = self._point(x)
+        h = self._fd_step(x)
+        axis, center = self._stencil(x, h, np.zeros((1, self.dim)))
+        f0 = center[0]
+        grad = self.gradient(x) if self.grad is not None else _first_derivatives(h, axis)
+        return float(f0), grad, float(np.sum(_pure_second_derivatives(h, f0, axis)))
+
     def laplacian(self, x) -> float:
-        return float(np.trace(self.hessian(x)))
+        """Trace of the Hessian; by finite differences only its diagonal is
+        evaluated (1 + 4m points)."""
+        if self.hess is not None:
+            return float(np.trace(self.hessian(x)))
+        return self.jet(x)[2]
+
+
+def _first_derivatives(h, axis) -> np.ndarray:
+    """Fourth-order central first derivatives from the (4, m) axis values."""
+    p2, p1, m1, m2 = axis
+    return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+
+
+def _pure_second_derivatives(h, f0, axis) -> np.ndarray:
+    """Fourth-order central pure second derivatives from f(x) and the axis
+    values."""
+    p2, p1, m1, m2 = axis
+    return (-p2 + 16.0 * p1 - 30.0 * f0 + 16.0 * m1 - m2) / (12.0 * h * h)
 
 
 def _differentiate(exponents, coeffs, i):
@@ -250,8 +285,8 @@ def linearized_expander_residual(field: ScalarField, alpha: float, x) -> float:
     """Residual of the linearized expander equation:
     sum_j d^2 f/dx_j^2 + alpha (sum_j x_j df_j - 2 f)."""
     x = np.asarray(x, dtype=float)
-    grad = field.gradient(x)
-    return float(field.laplacian(x) + alpha * (float(x @ grad) - 2.0 * field.value(x)))
+    value, grad, laplacian = field.jet(x)
+    return float(laplacian + alpha * (float(x @ grad) - 2.0 * value))
 
 
 def inversion_transform(field: ScalarField, m: int, direction: str = "forward") -> ScalarField:

@@ -207,3 +207,97 @@ def test_gf2_rank_reference():
     # rows of a rank-2 matrix over GF(2)
     rows = [0b110, 0b011, 0b101]  # third row is the sum of the first two
     assert gf2_rank(rows) == 2
+
+
+# ---------------------------------------------------------------------------
+# indexed elimination against a dense oracle
+# ---------------------------------------------------------------------------
+
+def _dense_rank(mat):
+    """Rank over GF(2) of a 0/1 matrix by dense row reduction."""
+    mat = np.array(mat, dtype=np.uint8) % 2
+    rank = 0
+    for col in range(mat.shape[1]):
+        pivot = next((r for r in range(rank, mat.shape[0]) if mat[r, col]), None)
+        if pivot is None:
+            continue
+        mat[[rank, pivot]] = mat[[pivot, rank]]
+        below = mat[:, col].astype(bool)
+        below[rank] = False
+        mat[below] ^= mat[rank]
+        rank += 1
+    return rank
+
+
+def _dense_cohomology(cx):
+    """Cohomology dims from dense differential matrices, one per degree."""
+    by_degree = {}
+    for g in cx.generators:
+        by_degree.setdefault(g.degree, []).append(g.id)
+    rank = {}
+    for k, ids in by_degree.items():
+        targets = by_degree.get(k + 1, [])
+        mat = np.zeros((len(ids), len(targets)), dtype=np.uint8)
+        for p, q in cx.differential:
+            if p in ids:
+                mat[ids.index(p), targets.index(q)] = 1
+        rank[k] = _dense_rank(mat)
+    dims = {k: len(ids) - rank[k] - rank.get(k - 1, 0) for k, ids in by_degree.items()}
+    return {k: v for k, v in dims.items() if v}, rank
+
+
+def test_cohomology_and_ranks_match_dense_oracle():
+    rng = np.random.default_rng(2)
+    for size in [6] * 40 + [12] * 20:
+        cx = _random_complex(rng, size)
+        dims, rank = _dense_cohomology(cx)
+        assert cx.cohomology_dims() == dims
+        for k, r in rank.items():
+            assert cx.differential_rank(k) == r
+
+
+def test_gf2_rank_matches_dense_oracle():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n_rows, n_bits = (int(v) for v in rng.integers(1, 24, size=2))
+        mat = (rng.uniform(size=(n_rows, n_bits)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+        if rng.uniform() < 0.3 and n_rows > 2:  # force dependent rows
+            mat[-1] = mat[0] ^ mat[1]
+        rows = [int("".join(map(str, row)), 2) for row in mat]
+        assert gf2_rank(rows) == _dense_rank(mat)
+    assert gf2_rank([]) == 0
+    assert gf2_rank([0, 0]) == 0
+
+
+def _sphere_complex(m, rng):
+    """Proper faces of the (m+1)-simplex, in shuffled order with shuffled
+    vertex labels; the differential adds one vertex.  Its cohomology is that
+    of S^m."""
+    n = m + 2
+    full = (1 << n) - 1
+    label = rng.permutation(n)
+
+    def name(face):
+        return "f%x" % sum(1 << int(label[v]) for v in range(n) if face >> v & 1)
+
+    faces = [int(f) for f in rng.permutation(np.arange(1, full))]
+    gens = [Generator(name(f), bin(f).count("1") - 1) for f in faces]
+    counts = {(name(f), name(f | 1 << v)): 1 for f in faces for v in range(n)
+              if not f >> v & 1 and f | 1 << v != full}
+    return build_complex(gens, counts)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_shuffled_simplex_boundary_has_sphere_cohomology(m):
+    rng = np.random.default_rng(100 + m)
+    cx = _sphere_complex(m, rng)
+    assert cx.cohomology_dims() == expected_sphere_cohomology(m)
+    assert verify_degree_zero_identity(cx)
+    if m <= 5:
+        assert _dense_cohomology(cx)[0] == expected_sphere_cohomology(m)
+
+
+def test_cohomology_result_is_a_copy():
+    cx = build_complex([Generator("p", 0)], {})
+    cx.cohomology_dims()[0] = 7
+    assert cx.cohomology_dims() == {0: 1}

@@ -227,3 +227,52 @@ def test_polynomial_field_derivatives_in_closed_form():
     np.testing.assert_allclose(field.hessian(point), hess, rtol=1e-14)
     np.testing.assert_allclose(field.values(np.array([point, 2 * point])),
                                [field.value(point), field.value(2 * point)], rtol=1e-15)
+
+
+def _counting(field):
+    """The same field with a record of the number of points per batch call."""
+    calls = []
+
+    def batch(points):
+        calls.append(len(points))
+        return field.values(points)
+
+    return ScalarField(field.func, field.dim, step_scale=field.step_scale, batch=batch), calls
+
+
+def test_laplacian_and_jet_equal_hessian_trace_gradient_value():
+    rng = np.random.default_rng(10)
+    m, alpha, _, expansion = _expansion_case()
+    cubic = _random_cubic(rng, m)
+    wide = _random_cubic(np.random.default_rng(11), 9)  # past numpy's pairwise-sum block
+    cases = [
+        (expansion, (2.0, 6.0)),
+        (inversion_transform(cubic, m, "backward"), (0.8, 1.6)),
+        (ScalarField(cubic.func, m), (0.5, 2.0)),
+        (ScalarField(wide.func, 9, batch=wide.batch), (0.5, 2.0)),
+        (ScalarField(cubic.func, m, grad=cubic.grad, batch=cubic.batch), (0.5, 2.0)),
+        (cubic, (0.5, 2.0)),  # analytic derivatives
+    ]
+    for field, radius in cases:
+        for _ in range(4):
+            x = rng.normal(size=field.dim)
+            x *= rng.uniform(*radius) / np.linalg.norm(x)
+            value, grad, lap = field.jet(x)
+            trace = float(np.trace(field.hessian(x)))
+            assert field.laplacian(x) == trace
+            assert lap == trace
+            assert value == field.value(x)
+            assert np.array_equal(grad, field.gradient(x))
+            expected = trace + alpha * (float(x @ field.gradient(x)) - 2.0 * field.value(x))
+            assert linearized_expander_residual(field, alpha, x) == expected
+
+
+def test_linearized_residual_is_one_batch_of_the_pure_stencil():
+    m, alpha, _, expansion = _expansion_case()
+    field, calls = _counting(expansion)
+    x = np.array([2.0, -1.0, 0.5, 1.5])
+    linearized_expander_residual(field, alpha, x)
+    assert calls == [1 + 4 * m]
+    calls.clear()
+    field.laplacian(x)
+    assert calls == [1 + 4 * m]

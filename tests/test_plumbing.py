@@ -249,3 +249,82 @@ def test_bump_correction_vanishes_along_neck_ends():
         coords = to_darboux(sample_point, chart)
         values.append(abs(bump_h(coords, chart)))
     assert values[0] > values[1] > values[2]
+
+
+# ---------------------------------------------------------------------------
+# the batched Liouville-form stencil against scalar oracles
+# ---------------------------------------------------------------------------
+
+def _eta_scalar(t, T):
+    """The bump profile written branch by branch."""
+    def ramp(u):
+        if u <= 0.0:
+            return 0.0
+        if u >= 1.0:
+            return 1.0
+        return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+
+    if t >= 0.0:
+        return ramp((t - T) / T)
+    return -ramp((-t - T) / T)
+
+
+def _eta_prime_scalar(t, T):
+    u = (abs(t) - T) / T
+    if u <= 0.0 or u >= 1.0:
+        return 0.0
+    return 30.0 * u * u * (1.0 - u) ** 2 / T
+
+
+def test_eta_on_arrays_equals_scalar_branches():
+    for T in (1.0, 50.0, 100.0):
+        chart = _chart(T=T)
+        edges = [0.0, -0.0, T, -T, 2 * T, -2 * T, 1e300, -1e300,
+                 np.nextafter(T, 0.0), np.nextafter(2 * T, np.inf)]
+        ts = np.concatenate([np.linspace(-3 * T, 3 * T, 1201), edges])
+        eta = [_eta_scalar(float(t), T) for t in ts]
+        eta_p = [_eta_prime_scalar(float(t), T) for t in ts]
+        assert np.array_equal(chart.eta(ts), eta)
+        assert np.array_equal(chart.eta_prime(ts), eta_p)
+        assert [chart.eta(float(t)) for t in ts] == eta
+        assert [chart.eta_prime(float(t)) for t in ts] == eta_p
+
+
+def _residual_by_scalar_loop(coords, chart, step):
+    """d(lambda_tilde) - omega from one `liouville_tilde` call per component
+    and stencil point."""
+    m = chart.m
+    dim = 2 * m
+
+    def components(q):
+        c = DarbouxCoords(q[:m], q[m:])
+        return np.array([liouville_tilde(c, e[:m], e[m:], chart) for e in np.eye(dim)])
+
+    q0 = np.concatenate([coords.x, coords.y])
+    h = step * (1.0 + float(np.linalg.norm(q0)))
+    partials = np.empty((dim, dim))
+    for a, e in enumerate(np.eye(dim)):
+        partials[a] = (-components(q0 + 2 * h * e) + 8.0 * components(q0 + h * e)
+                       - 8.0 * components(q0 - h * e) + components(q0 - 2 * h * e)) / (12.0 * h)
+    worst = 0.0
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            expected = 1.0 if b == a + m else 0.0
+            worst = max(worst, abs(partials[a, b] - partials[b, a] - expected))
+    return worst
+
+
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_batched_exterior_residual_matches_scalar_loop(m):
+    rng = np.random.default_rng(20 + m)
+    for T in (1.0, 100.0):
+        chart = _chart(m, T)
+        scale = math.sqrt(2 * T)
+        # middle region, both transition bands, both outer regions
+        for gap in np.array([0.3, -0.6, 1.3, 1.8, -1.2, -1.7, 2.5, -3.0]) * T:
+            coords = _coords_with_gap(rng, m, gap, scale)
+            for step in (1e-4, 1e-5):
+                batched = exterior_derivative_residual(coords, chart, step=step)
+                assert batched == pytest.approx(
+                    _residual_by_scalar_loop(coords, chart, step), abs=1e-10)
+                assert batched < 1e-6
