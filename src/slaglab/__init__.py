@@ -13,7 +13,6 @@ from .errors import (
 )
 from .geometry import (
     AngleVector,
-    CmPoint,
     GradedPointPair,
     LagrangianPlane,
     LagrangianSample,

@@ -39,7 +39,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import GradingError, NewtonError
+from .errors import (
+    DegenerateFrameError,
+    GradingError,
+    NewtonError,
+    NonTransverseError,
+)
 from . import floer as floer_mod
 from . import geometry, graphs, modes, plumbing
 from .expanders import JLTExpander, jlt_invert
@@ -59,6 +64,7 @@ TOLERANCES = {
     "chart_round_trip": 1e-12,
     "liouville_tilde_fd": 1e-6,
     "linearized_mode_residual": 1e-6,
+    "graph_residual": 1e-10,
 }
 
 EXIT_PASS = 0
@@ -466,8 +472,9 @@ def _check_lawlor(rng):
     residual = max(
         abs(neck.angle_sum - math.pi), omega_max, im_vol_max, abs(a_limit - neck.A)
     )
-    return {"name": "lawlor", "passed": bool(residual < 1e-8),
-            "maxResidual": residual, "tolerance": 1e-8}
+    tol = TOLERANCES["sl_residual"]
+    return {"name": "lawlor", "passed": bool(residual < tol),
+            "maxResidual": residual, "tolerance": tol}
 
 
 def _check_expander(rng):
@@ -484,8 +491,9 @@ def _check_expander(rng):
     )
     invariant_defect = abs(expander.invariant_from_potential_limits() - expander.A)
     worst = max(residual, theta_defect, invariant_defect)
-    return {"name": "expander", "passed": bool(worst < 1e-7),
-            "maxResidual": worst, "tolerance": 1e-7}
+    tol = TOLERANCES["expander_identity"]
+    return {"name": "expander", "passed": bool(worst < tol),
+            "maxResidual": worst, "tolerance": tol}
 
 
 def _check_invert(rng):
@@ -500,11 +508,13 @@ def _check_invert(rng):
         expander = JLTExpander(alpha, a)
         result = jlt_invert(alpha, expander.phis)
         defect = max(defect, float(np.max(np.abs(result.a - a))))
-    return {"name": "invert", "passed": bool(defect < 1e-6),
-            "maxResidual": defect, "tolerance": 1e-6}
+    tol = TOLERANCES["inversion_round_trip"]
+    return {"name": "invert", "passed": bool(defect < tol),
+            "maxResidual": defect, "tolerance": tol}
 
 
 def _check_modes(rng):
+    tol = TOLERANCES["ode_overlap"]
     worst = 0.0
     for m in (3, 4, 5):
         for k in (0, 2, 5):
@@ -515,9 +525,9 @@ def _check_modes(rng):
                     solution, np.linspace(0.01, 2.0, 50)
                 ):
                     return {"name": "modes", "passed": False,
-                            "maxResidual": math.inf, "tolerance": 1e-8}
-    return {"name": "modes", "passed": bool(worst < 1e-8),
-            "maxResidual": worst, "tolerance": 1e-8}
+                            "maxResidual": math.inf, "tolerance": tol}
+    return {"name": "modes", "passed": bool(worst < tol),
+            "maxResidual": worst, "tolerance": tol}
 
 
 def _check_inversion_identity(rng):
@@ -533,8 +543,9 @@ def _check_inversion_identity(rng):
             y = _unit_sphere_samples(m, 1, rng)[0] * rng.uniform(0.6, 1.2)
             lhs, rhs = graphs.inversion_laplacian_pair(field, m, y)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return {"name": "inversion", "passed": bool(worst < 1e-6),
-            "maxResidual": worst, "tolerance": 1e-6}
+    tol = TOLERANCES["laplacian_identity_rel"]
+    return {"name": "inversion", "passed": bool(worst < tol),
+            "maxResidual": worst, "tolerance": tol}
 
 
 def _check_plumbing(rng):
@@ -554,9 +565,10 @@ def _check_plumbing(rng):
         fd_worst = max(
             fd_worst, plumbing.exterior_derivative_residual(coords, chart, step=1e-5)
         )
-    passed = worst_rt < 1e-12 and fd_worst < 1e-6
+    tol = TOLERANCES["liouville_tilde_fd"]
+    passed = worst_rt < TOLERANCES["chart_round_trip"] and fd_worst < tol
     return {"name": "plumbing", "passed": bool(passed),
-            "maxResidual": max(worst_rt * 1e6, fd_worst), "tolerance": 1e-6}
+            "maxResidual": max(worst_rt * 1e6, fd_worst), "tolerance": tol}
 
 
 def _check_floer(rng):
@@ -582,8 +594,9 @@ def _check_graphs(rng):
     worst = max(
         worst, abs(graphs.expander_graph_residual(field, 0.0, 0.0, np.zeros(3)))
     )
-    return {"name": "graphs", "passed": bool(worst < 1e-10),
-            "maxResidual": worst, "tolerance": 1e-10}
+    tol = TOLERANCES["graph_residual"]
+    return {"name": "graphs", "passed": bool(worst < tol),
+            "maxResidual": worst, "tolerance": tol}
 
 
 _VERIFY_CHECKS = (
@@ -704,14 +717,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (DegenerateFrameError, NonTransverseError, RuntimeError) as exc:
+        # numerical failure (degenerate frame, non-transverse planes,
+        # QuadratureError, NewtonError, radial collocation): not a usage
+        # error, although the first two subclass ValueError
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILURE
     except (ValueError, GradingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        # numerical failure (QuadratureError, NewtonError, radial collocation):
-        # not a usage error
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

@@ -47,39 +47,11 @@ def _as_complex_vector(v, m=None):
     return v
 
 
-@dataclass(frozen=True)
-class CmPoint:
-    """A point of C^m, m >= 3."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = _as_complex_vector(self.coords)
-        if coords.shape[0] < 3:
-            raise DimensionMismatchError("ambient dimension must be at least 3")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def m(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def radius(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
 def symplectic_form(u, v) -> float:
     """omega(u, v) = sum_j Im(conj(u_j) v_j) for tangent vectors of C^m."""
     u = _as_complex_vector(u)
     v = _as_complex_vector(v, m=u.shape[0])
     return float(np.imag(np.vdot(u, v)))
-
-
-def hermitian_metric(u, v) -> float:
-    """g(u, v) = sum_j Re(conj(u_j) v_j), the flat metric on C^m = R^{2m}."""
-    u = _as_complex_vector(u)
-    v = _as_complex_vector(v, m=u.shape[0])
-    return float(np.real(np.vdot(u, v)))
 
 
 def liouville_form(p, v) -> float:
@@ -88,7 +60,7 @@ def liouville_form(p, v) -> float:
     Satisfies d(lambda) = omega and lambda = (1/2) omega(p, .); it vanishes on
     any Lagrangian cone direction, e.g. along the real plane R^m.
     """
-    z = p.coords if isinstance(p, CmPoint) else _as_complex_vector(p)
+    z = _as_complex_vector(p)
     v = _as_complex_vector(v, m=z.shape[0])
     return float(-0.5 * np.imag(np.sum(z * np.conj(v))))
 
@@ -268,10 +240,6 @@ class AngleVector:
     @property
     def total(self) -> float:
         return float(np.sum(self.phis))
-
-    def complementary(self) -> "AngleVector":
-        """Angles of the swapped pair: pi - phi_k, sorted ascending."""
-        return AngleVector(np.sort(np.pi - self.phis))
 
 
 @dataclass(frozen=True)

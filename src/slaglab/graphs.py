@@ -22,8 +22,8 @@ on sample points.  Summing its Hessian identity over the diagonal yields
 
 the Laplacian identity verified by `inversion_laplacian_pair`.
 
-Complex determinants are evaluated through an LU factorization, accumulating
-log-magnitude and phase from the pivots so large Hessians cannot overflow.
+Complex determinants are evaluated as log-magnitude and phase by
+`numpy.linalg.slogdet`, so large Hessians cannot overflow.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 from .errors import BranchCutError, DimensionMismatchError
 
@@ -229,23 +228,16 @@ def polynomial_field(coeffs: dict, dim: int) -> ScalarField:
 
 
 def complex_det_lu(matrix) -> tuple[float, float]:
-    """(log|det|, principal arg) of a complex matrix via LU pivots.
-
-    The phase is accumulated pivot by pivot (plus pi per row swap) and then
-    reduced to (-pi, pi]; the log-magnitude form avoids overflow.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    lu, piv = lu_factor(matrix, check_finite=False)
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
+    """(log|det|, principal arg in (-pi, pi]) of a complex matrix, from
+    `numpy.linalg.slogdet`; (-inf, 0.0) for a singular matrix.  The
+    log-magnitude form avoids overflow."""
+    sign, log_abs = np.linalg.slogdet(np.asarray(matrix, dtype=complex))
+    if sign == 0.0:
         return -math.inf, 0.0
-    swaps = int(np.sum(piv != np.arange(matrix.shape[0])))
-    log_abs = float(np.sum(np.log(np.abs(diag))))
-    phase = float(np.sum(np.angle(diag))) + math.pi * (swaps % 2)
-    phase = math.remainder(phase, 2.0 * math.pi)
+    phase = float(np.angle(sign))
     if phase <= -math.pi:
         phase += 2.0 * math.pi
-    return log_abs, phase
+    return float(log_abs), phase
 
 
 def sl_graph_residual(field: ScalarField, x) -> float:

@@ -1,25 +1,30 @@
-"""Lawlor necks: explicit special-Lagrangian necks asymptotic to a plane pair.
+"""Lawlor necks, the alpha = 0 members of one neck family.
 
-Given m >= 3 and positive a_1..a_m, set
+Given m >= 3, positive a_1..a_m and alpha >= 0, set
 
-    p(x) = (1 + a_1 x^2) ... (1 + a_m x^2) - 1,      P(x) = p(x) / x^2,
+    P(x) = (e^{alpha x^2} prod_k (1 + a_k x^2) - 1) / x^2,
 
-with the removable value P(0) = a_1 + ... + a_m.  The elementary integrals
+with the removable value P(0) = alpha + a_1 + ... + a_m.  The elementary
+integrals
 
     phi_k = a_k Int dx / ((1 + a_k x^2) sqrt(P)),    A = Int dx / (2 sqrt(P))
 
-over the real line give angles phi_k in (0, pi) summing exactly to pi
-(substitute w = sqrt(p)), and an area invariant A > 0.  The neck itself is
+over the real line give angles phi_k in (0, pi) and an area A > 0.  The
+member (alpha, a) of the family, `NeckFamily`, is
 
     L = { (z_1(y) x_1, ..., z_m(y) x_m) : y real, |x| = 1 },
     z_k(y) = e^{i psi_k(y)} sqrt(1/a_k + y^2),
     psi_k(y) = a_k Int_{-inf}^y dx / ((1 + a_k x^2) sqrt(P)),
 
-a special Lagrangian diffeomorphic to S^{m-1} x R, asymptotic to the plane
-pair R^m and diag(e^{i phi_k}) R^m.  The restriction of the Liouville form is
-dy / (2 sqrt(P(y))), so the potential normalized to vanish on the flat end is
-f(y) = Int_{-inf}^y dx / (2 sqrt(P)), and the end-to-end potential difference
-recovers A.
+a Lagrangian diffeomorphic to S^{m-1} x R, asymptotic to the plane pair R^m
+and diag(e^{i phi_k}) R^m, and graded by theta(y) = sum_k psi_k(y) +
+arg(-y - i P(y)^{-1/2}).  The members at alpha > 0 are the Joyce-Lee-Tsui
+expanders of `expanders`.
+
+A Lawlor neck is the member at alpha = 0: the angles sum exactly to pi
+(substitute w = sqrt(x^2 P)), theta vanishes, and L is special Lagrangian.
+The Liouville form restricts to dy / (2 sqrt(P(y))), so the potential
+vanishing on the flat end, f(y) = Int_{-inf}^y dx / (2 sqrt(P)), rises by A.
 
 The correspondence a -> (phi, A) is a bijection onto {phi in (0,pi)^m,
 sum phi = pi, A > 0}; `lawlor_invert` realizes the inverse by damped Newton
@@ -29,17 +34,15 @@ on log(a).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import quadrature
 from ._newton import InversionResult, damped_newton_log
 from .errors import DimensionMismatchError, GradingError
-from .geometry import LagrangianSample, TangentFrame, phase_of_frame
+from .geometry import LagrangianSample, TangentFrame
 
-ANGLE_SUM_TOL = 1e-8
 _TAIL_MASS = 1e-15
 
 
@@ -52,22 +55,33 @@ def _validate_a(a):
     return a
 
 
+def _P(alpha: float, a, x: float) -> float:
+    """P(x) of the family (alpha, a); inf where it overflows a float."""
+    if x * x == math.inf:  # _log_P would meet inf - inf
+        return math.inf
+    log_p = float(_log_P(alpha, np.asarray(a, dtype=float), x))
+    return math.exp(log_p) if log_p < 709.0 else math.inf
+
+
 def lawlor_P(a, x: float) -> float:
     """P(x) = (prod(1 + a_k x^2) - 1)/x^2, with P(0) = sum(a_k)."""
-    a = np.asarray(a, dtype=float)
-    if x == 0.0:
-        return float(np.sum(a))
-    return math.expm1(float(np.sum(np.log1p(a * x * x)))) / (x * x)
+    return _P(0.0, a, x)
 
 
 def oriented_sphere_basis(x_unit: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the hyperplane orthogonal to x_unit, oriented so
     that det [x_unit | basis] = +1.  Keeps neck frame phases consistent
-    across directions."""
-    basis = null_space(x_unit.reshape(1, -1))
-    if np.linalg.det(np.column_stack([x_unit, basis])) < 0.0:
-        basis = basis.copy()
-        basis[:, 0] = -basis[:, 0]
+    across directions.
+
+    The reflection H = I - 2 v v^T/(v^T v), v = x_unit + s e_1, s = sign(x_0),
+    maps x_unit to -s e_1, so det [x_unit | H e_2 .. H e_m] = -s det H = s.
+    """
+    s = 1.0 if x_unit[0] >= 0.0 else -1.0
+    v = x_unit.astype(float)
+    v[0] += s
+    basis = -(2.0 / float(v @ v)) * np.outer(v, v[1:])
+    basis[1:] += np.eye(x_unit.shape[0] - 1)
+    basis[:, 0] *= s
     return basis
 
 
@@ -87,67 +101,40 @@ def _log_P(alpha: float, a: np.ndarray, x):
     return np.where(s > 0.0, log_p, math.log(alpha + float(np.sum(a))))
 
 
-def _profile_rows(alpha: float, a: np.ndarray, x: np.ndarray, area: bool):
-    """Angle integrands a_k/((1 + a_k x^2) sqrt(P)), one row per k, at
-    abscissae x; with area, one more row 1/(2 sqrt(P))."""
-    inv_sqrt_p = np.exp(-0.5 * _log_P(alpha, a, x))
-    col = a[:, None]
-    rows = col / (1.0 + col * np.square(x)) * inv_sqrt_p
-    if area:
-        rows = np.vstack((rows, 0.5 * inv_sqrt_p))
-    return rows
-
-
-def _unit_direction(x_unit, m: int) -> np.ndarray:
-    x_unit = np.asarray(x_unit, dtype=float).reshape(-1)
-    if x_unit.shape[0] != m:
-        raise DimensionMismatchError("direction vector has wrong length")
-    if abs(float(np.linalg.norm(x_unit)) - 1.0) > 1e-12:
-        raise ValueError("direction vector must be a unit vector")
-    return x_unit
-
-
-def _tangent_columns(a, y: float, x_unit, psis, inv_sqrt_p: float):
-    """Raw tangent vectors of a neck or expander at (y, x_unit), given its
-    phases psi(y): the profile direction, then sphere directions.  Returns
-    (columns, z, dz/dy).
-
-    The profile direction enters with a minus sign; this orientation makes
-    the frame phase vanish identically along a Lawlor neck.
-    """
-    radii = np.sqrt(1.0 / a + y * y)
-    phase = np.exp(1j * psis)
-    z = radii * phase
-    dpsi = a / (1.0 + a * y * y) * inv_sqrt_p
-    dz = (y / radii + 1j * dpsi * radii) * phase
-
-    m = a.shape[0]
-    cols = np.empty((m, m), dtype=complex)
-    cols[:, 0] = -dz * x_unit
-    cols[:, 1:] = z[:, None] * oriented_sphere_basis(x_unit)
-    return cols, z, dz
-
-
 @dataclass(frozen=True)
-class LawlorAngles:
-    """Angle tuple and area invariant (phi_1..phi_m, A) of a neck."""
+class NeckAngles:
+    """Angles phi_1..phi_m and invariant A of the family member (alpha, a)."""
 
     phis: np.ndarray
     A: float
+    alpha: float = field(default=0.0, kw_only=True)
 
     @property
     def total(self) -> float:
         return float(np.sum(self.phis))
 
 
-class LawlorNeck:
-    """A single neck, caching its angles, invariant, and radial profiles."""
+LawlorAngles = NeckAngles
 
-    def __init__(self, a):
+
+class NeckFamily:
+    """The member (alpha, a), alpha >= 0, of the neck family, caching its
+    angles, invariant, and radial profiles.  `LawlorNeck` and
+    `expanders.JLTExpander` pin alpha = 0 and alpha > 0."""
+
+    # bias of the grading and its derivative; only JLTExpander sets it
+    _fault_bias = 0.0
+
+    def __init__(self, alpha: float, a):
+        if not 0.0 <= alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
+        self.alpha = float(alpha)
         self.a = _validate_a(a)
         self.m = self.a.shape[0]
         self._cutoff = self._tail_cutoff()
         self._scales = 1.0 / np.sqrt(self.a)
+        if self.alpha > 0.0:
+            self._scales = np.append(self._scales, 1.0 / math.sqrt(self.alpha))
         # the integrands are even: twice the half-line integrals
         half = self._integrate(0.0, math.inf)
         self.phis = 2.0 * half[:-1]
@@ -157,28 +144,36 @@ class LawlorNeck:
     # -- scalar profile data ------------------------------------------------
 
     def log_P(self, x: float) -> float:
-        return float(_log_P(0.0, self.a, x))
+        return float(_log_P(self.alpha, self.a, x))
 
     def P(self, x: float) -> float:
-        return math.exp(self.log_P(x))
+        return _P(self.alpha, self.a, x)
 
     def inv_sqrt_P(self, x: float) -> float:
         return math.exp(-0.5 * self.log_P(x))
 
     def _tail_cutoff(self) -> float:
         # beyond the cutoff, 1/sqrt(P) <= sqrt(2/prod a) x^{1-m}; the weakest
-        # tail is the area integrand ~ x^{1-m}, integrable since m >= 3
+        # tail is the area integrand ~ x^{1-m}, integrable since m >= 3.  At
+        # alpha > 0 the factor e^{-alpha x^2/2} is below e^{-50} sooner.
         prod_a = float(np.prod(self.a))
         m = self.m
-        x_tail = (math.sqrt(2.0 / prod_a) / (2.0 * (m - 2) * _TAIL_MASS)) ** (
+        x_poly = (math.sqrt(2.0 / prod_a) / (2.0 * (m - 2) * _TAIL_MASS)) ** (
             1.0 / (m - 2)
         )
+        x_gauss = math.sqrt(100.0 / self.alpha) if self.alpha > 0.0 else math.inf
         x_scale = 10.0 / math.sqrt(float(np.min(self.a)))
-        return max(x_tail, x_scale, 50.0)
+        return max(min(x_poly, x_gauss), x_scale, 50.0)
 
     def _rows(self, x: np.ndarray) -> np.ndarray:
-        """The m angle integrands, then the area integrand, at abscissae x."""
-        return _profile_rows(0.0, self.a, x, area=True)
+        """The m angle integrands a_k/((1 + a_k x^2) sqrt(P)), then the area
+        integrand 1/(2 sqrt(P)), at abscissae x."""
+        inv_sqrt_p = np.exp(-0.5 * _log_P(self.alpha, self.a, x))
+        col = self.a[:, None]
+        rows = np.empty((self.m + 1, x.shape[0]))
+        np.multiply(col / (1.0 + col * np.square(x)), inv_sqrt_p, out=rows[:-1])
+        np.multiply(0.5, inv_sqrt_p, out=rows[-1])
+        return rows
 
     def _integrate(self, lower: float, upper: float) -> np.ndarray:
         return quadrature.integrate_rows(
@@ -202,51 +197,118 @@ class LawlorNeck:
         """Component phases psi_k(y); increasing from 0 to phi_k."""
         return self._integrate(-math.inf, y)[:-1]
 
-    def potential(self, y: float) -> float:
-        """f(y) = Int_{-inf}^y dx/(2 sqrt(P)); increasing, f(-inf) = 0."""
-        return float(self._integrate(-math.inf, y)[-1])
-
     def profile(self, y: float):
         """Radial profile (z_1(y)..z_m(y), psi_1(y)..psi_m(y))."""
         psis = self.psi(y)
         radii = np.sqrt(1.0 / self.a + y * y)
         return radii * np.exp(1j * psis), psis
 
+    # -- grading and potential ------------------------------------------------
+
+    def theta(self, y: float) -> float:
+        """Grading at profile parameter y (continuous lift, -> 0 as
+        y -> -inf); identically 0 at alpha = 0."""
+        return self._theta(y, self.psi(y))
+
+    def _theta(self, y: float, psis: np.ndarray) -> float:
+        value = float(np.sum(psis)) + math.atan2(-self.inv_sqrt_P(y), -y)
+        if self._fault_bias:
+            value += self._fault_bias * math.tanh(y)
+        return value
+
+    def dtheta_dy(self, y: float) -> float:
+        """Closed-form derivative of the grading.
+
+        Termwise: sum_k psi_k'(y) plus the derivative of
+        arg(-y - i P^{-1/2}), which simplifies against P' to
+        -(alpha + sum_k a_k/(1 + a_k y^2)) / sqrt(P).
+        """
+        inv_sqrt_p = self.inv_sqrt_P(y)
+        rational = float(np.sum(self.a / (1.0 + self.a * y * y)))
+        psi_term = rational * inv_sqrt_p
+        arg_term = -(self.alpha + rational) * inv_sqrt_p
+        value = psi_term + arg_term
+        if self._fault_bias:
+            value += self._fault_bias / math.cosh(y) ** 2
+        return value
+
+    def potential(self, y: float) -> float:
+        """Potential f(y), increasing at alpha = 0, with f(-inf) = 0."""
+        partial = self._integrate(-math.inf, y)
+        return self._potential(self._theta(y, partial[:-1]), partial[-1])
+
+    def _potential(self, theta: float, area: float) -> float:
+        # The members normalize the potential differently; which convention
+        # both should share is open, and either choice changes reported values.
+        # At alpha = 0, f = Int_{-inf}^y dx/(2 sqrt(P)) is the primitive of
+        # lambda|_L; at alpha > 0, f = -2 theta/alpha is that of 4 lambda|_L.
+        if self.alpha == 0.0:
+            return float(area)
+        return -2.0 * theta / self.alpha
+
+    def invariant_from_potential_limits(self, y_limit: float | None = None) -> float:
+        """A(L) = lim f(+inf) - lim f(-inf), from the potential at +-y_limit
+        (default 0.9 of the tail cutoff)."""
+        y_big = y_limit if y_limit is not None else 0.9 * self._cutoff
+        return self.potential(y_big) - self.potential(-y_big)
+
     # -- pointwise geometry ---------------------------------------------------
 
+    def _tangent_columns(self, y: float, x_unit, psis):
+        """Raw tangent vectors at (y, x_unit), given the phases psi(y): the
+        profile direction, then sphere directions.  Returns (columns, z, dz/dy).
+
+        The profile direction enters with a minus sign; this orientation makes
+        the frame phase equal the grading theta.
+        """
+        a = self.a
+        radii = np.sqrt(1.0 / a + y * y)
+        phase = np.exp(1j * psis)
+        z = radii * phase
+        dpsi = a / (1.0 + a * y * y) * self.inv_sqrt_P(y)
+        dz = (y / radii + 1j * dpsi * radii) * phase
+
+        cols = np.empty((self.m, self.m), dtype=complex)
+        cols[:, 0] = -dz * x_unit
+        cols[:, 1:] = z[:, None] * oriented_sphere_basis(x_unit)
+        return cols, z, dz
+
     def point(self, y: float, x_unit) -> LagrangianSample:
-        """Ambient point, orthonormal tangent frame, phase, and potential."""
-        x_unit = _unit_direction(x_unit, self.m)
+        """Ambient point, orthonormal tangent frame, grading, and potential."""
+        x_unit = np.asarray(x_unit, dtype=float).reshape(-1)
+        if x_unit.shape[0] != self.m:
+            raise DimensionMismatchError("direction vector has wrong length")
+        if abs(float(np.linalg.norm(x_unit)) - 1.0) > 1e-12:
+            raise ValueError("direction vector must be a unit vector")
         partial = self._integrate(-math.inf, y)
-        cols, z, _ = _tangent_columns(self.a, y, x_unit, partial[:-1],
-                                      self.inv_sqrt_P(y))
+        psis = partial[:-1]
+        cols, z, _ = self._tangent_columns(y, x_unit, psis)
         frame = TangentFrame(z * x_unit, cols).orthonormalized()
-        theta = phase_of_frame(frame, branch_hint=0.0)
-        return LagrangianSample(z * x_unit, frame, theta, float(partial[-1]))
+        theta = self._theta(y, psis)
+        return LagrangianSample(z * x_unit, frame, theta,
+                                self._potential(theta, partial[-1]))
 
     def radial_tangent(self, y: float, x_unit):
         """Ambient point and (unnormalized) tangent vector along d/dy."""
         x_unit = np.asarray(x_unit, dtype=float).reshape(-1)
-        _, z, dz = _tangent_columns(self.a, y, x_unit, self.psi(y),
-                                    self.inv_sqrt_P(y))
+        _, z, dz = self._tangent_columns(y, x_unit, self.psi(y))
         return z * x_unit, dz * x_unit
 
-    def invariant_from_potential_limits(self) -> float:
-        """A(L) = lim f(+inf) - lim f(-inf), assembled from a finite-interval
-        potential evaluation plus the quadrature of the remaining tail."""
-        y_big = 0.25 * self._cutoff
-        head = self.potential(y_big)
-        tail = float(self._integrate(y_big, math.inf)[-1])
-        return head + tail
-
-    def angles(self) -> LawlorAngles:
-        return LawlorAngles(self.phis.copy(), self.A)
+    def angles(self) -> NeckAngles:
+        return NeckAngles(self.phis.copy(), self.A, alpha=self.alpha)
 
     def tilde(self) -> "RotatedNeck":
-        """The rotated neck diag(e^{i phi_k}) . L with the end roles swapped:
-        angle tuple pi - phi (summing to (m-1) pi) and invariant -A."""
-        tilde_phis = np.pi - self.phis
-        return RotatedNeck(self, tilde_phis, -self.A)
+        """The rotated member diag(e^{i phi_k}) . L with the end roles swapped:
+        angles pi - phi, summing to (m-1) pi at alpha = 0 and into
+        ((m-1) pi, m pi) at alpha > 0, and invariant -A."""
+        return RotatedNeck(self, np.pi - self.phis, -self.A)
+
+
+class LawlorNeck(NeckFamily):
+    """A single Lawlor neck: the family member at alpha = 0."""
+
+    def __init__(self, a):
+        super().__init__(0.0, a)
 
 
 @dataclass(frozen=True)
@@ -254,7 +316,7 @@ class RotatedNeck:
     """diag(e^{i phi_k}) . base, asymptotic to the same plane pair with the
     ends exchanged; the invariant changes sign."""
 
-    base: object
+    base: NeckFamily
     phis: np.ndarray
     invariant: float
 
@@ -274,24 +336,14 @@ class RotatedNeck:
         sample = self.base.point(y, x_unit)
         rot = self.rotation
         frame = TangentFrame(rot * sample.point, rot[:, None] * sample.frame.vectors)
-        theta = sample.theta - self._base_theta_limit()
-        potential = self._potential(sample)
+        # grading and potential renormalized to vanish on the end that the
+        # rotation carries to the flat plane (the base's y -> +inf end)
+        theta = sample.theta - (self.base.angle_sum - np.pi)
+        potential = sample.potential - self.base.A
         return LagrangianSample(rot * sample.point, frame, theta, potential)
 
-    def _base_theta_limit(self) -> float:
-        # grading normalized to vanish on the end that the rotation carries
-        # to the flat plane (the base's y -> +inf end)
-        limit = getattr(self.base, "theta_plus_limit", None)
-        return limit() if limit is not None else 0.0
 
-    def _potential(self, sample: LagrangianSample) -> float:
-        total = getattr(self.base, "A", None)
-        if total is None:
-            total = -self.invariant
-        return sample.potential - total
-
-
-def lawlor_angles(a) -> LawlorAngles:
+def lawlor_angles(a) -> NeckAngles:
     """Angles and area invariant of the neck with coefficients a."""
     return LawlorNeck(a).angles()
 
@@ -302,7 +354,7 @@ def lawlor_profile(a, y: float):
 
 
 def lawlor_point(a, y: float, x_unit) -> LagrangianSample:
-    """Pointwise sample of the neck (see LawlorNeck.point)."""
+    """Pointwise sample of the neck (see NeckFamily.point)."""
     return LawlorNeck(a).point(y, x_unit)
 
 
@@ -314,6 +366,16 @@ def lawlor_invariant_A(a) -> float:
 def lawlor_tilde(a) -> RotatedNeck:
     """Rotated variant with angle sum (m-1) pi and invariant -A."""
     return LawlorNeck(a).tilde()
+
+
+def _target_angles(target_phis) -> np.ndarray:
+    """Target angles of an inversion, checked to be m >= 3 values in (0, pi)."""
+    phis = np.asarray(target_phis, dtype=float).reshape(-1)
+    if phis.shape[0] < 3:
+        raise DimensionMismatchError("need m >= 3 target angles")
+    if np.any(phis <= 0.0) or np.any(phis >= np.pi):
+        raise GradingError("target angles must lie in (0, pi)")
+    return phis
 
 
 def _initial_guess(phis, A):
@@ -333,11 +395,7 @@ def lawlor_invert(target_phis, target_A, tol=1e-9, max_iter=30,
     residual drops the last angle (the angle sum is an identity) and matches
     A in relative terms.
     """
-    phis = np.asarray(target_phis, dtype=float).reshape(-1)
-    if phis.shape[0] < 3:
-        raise DimensionMismatchError("need m >= 3 target angles")
-    if np.any(phis <= 0.0) or np.any(phis >= np.pi):
-        raise GradingError("target angles must lie in (0, pi)")
+    phis = _target_angles(target_phis)
     if abs(float(np.sum(phis)) - np.pi) > 1e-6:
         raise GradingError("target angles must sum to pi")
     if not target_A > 0.0:

@@ -224,6 +224,23 @@ def test_numerical_failure_exits_one_with_error_line(monkeypatch, capsys):
         assert "Traceback" not in err
 
 
+def test_degenerate_frame_exits_one_with_error_line(monkeypatch, capsys):
+    from slaglab import cli
+    from slaglab.errors import DegenerateFrameError
+    from slaglab.lawlor import NeckFamily
+
+    def degenerate(self, y, x_unit):
+        raise DegenerateFrameError("frame vectors are real-linearly dependent")
+
+    monkeypatch.setattr(NeckFamily, "point", degenerate)
+    for argv in (["lawlor", "--a", "1,2,3", "--samples", "5"],
+                 ["expander", "--alpha", "1", "--a", "1,1,1", "--samples", "5"]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DegenerateFrameError:")
+        assert "Traceback" not in err
+
+
 def test_expansion_reports_collocation():
     proc = run_cli("expansion", "--m", "4", "--k", "3", "--alpha", "0.5")
     assert proc.returncode == 0, proc.stderr

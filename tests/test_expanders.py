@@ -262,6 +262,17 @@ def test_alpha_to_zero_continuity():
     assert np.max(np.abs(jlt.phis - lawlor.phis)) < 1e-2
 
 
+def test_alpha_to_zero_invariant_limit():
+    # the expander potential -2 theta/alpha is the primitive of 4 lambda|_L,
+    # the Lawlor one of lambda|_L: A/4 must approach the Lawlor invariant
+    for a in ([1.0, 2.0, 3.0], [0.5, 1.0, 2.0, 4.0]):
+        lawlor_A = LawlorNeck(a).A
+        gaps = [abs(JLTExpander(alpha, a).A / 4.0 - lawlor_A)
+                for alpha in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+        assert np.all(np.diff(gaps) < 0.0)
+        assert gaps[-1] < 1e-3
+
+
 def test_decay_rate_toward_the_cone():
     # distance to the rotated plane decays like exp(-alpha r^2 / 2): on a
     # far-out grid the slope of log(distance) against r^2 is -alpha/2 within

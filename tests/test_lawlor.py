@@ -1,6 +1,8 @@
 """Tests for the Lawlor neck family."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from slaglab.lawlor import (
     lawlor_point,
     lawlor_profile,
     lawlor_tilde,
+    oriented_sphere_basis,
 )
 from slaglab.quadrature import tanh_sinh_partial, tanh_sinh_real_line
 
@@ -44,6 +47,11 @@ def test_P_leading_growth():
     x = 1e4
     leading = np.prod(a) * x ** (2 * len(a) - 2)
     assert lawlor_P(a, x) == pytest.approx(leading, rel=1e-6)
+
+
+def test_P_is_inf_where_x_squared_overflows():
+    for x in (1e100, 1e160, -1e200):
+        assert lawlor_P([1.0, 2.0, 3.0], x) == math.inf
 
 
 def test_symmetric_angles():
@@ -239,3 +247,32 @@ def test_potential_differential_is_lambda():
         df = (neck.potential(y + h) - neck.potential(y - h)) / (2 * h)
         point, tangent = neck.radial_tangent(y, x_unit)
         assert df == pytest.approx(liouville_form(point, tangent), abs=1e-7)
+
+
+def test_oriented_sphere_basis_orthonormal_and_oriented():
+    rng = np.random.default_rng(6)
+    for m in range(3, 13):
+        directions = [rng.standard_normal(m) for _ in range(4)]
+        for k in range(m):
+            for sign in (1.0, -1.0):
+                e = np.zeros(m)
+                e[k] = sign
+                directions.append(e)
+        for sign in (0.0, -0.0):
+            x = rng.standard_normal(m)
+            x[0] = sign
+            directions.append(x)
+        for x in directions:
+            x = x / np.linalg.norm(x)
+            basis = oriented_sphere_basis(x)
+            frame = np.column_stack([x, basis])
+            assert np.max(np.abs(frame.T @ frame - np.eye(m))) < 1e-12
+            assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, slaglab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
