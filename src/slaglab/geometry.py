@@ -31,7 +31,6 @@ from .errors import (
     NonTransverseError,
 )
 
-UNITARY_TOL = 1e-12
 LAGRANGIAN_TOL = 1e-8
 TRANSVERSALITY_TOL = 1e-8
 DEGREE_INT_TOL = 1e-6
@@ -83,10 +82,6 @@ class TangentFrame:
     @property
     def m(self) -> int:
         return self.base.shape[0]
-
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        gram = self.vectors.conj().T @ self.vectors
-        return bool(np.max(np.abs(gram - np.eye(self.m))) <= tol)
 
     def max_omega_residual(self) -> float:
         """Largest |omega(v_i, v_j)| over normalized frame vectors."""

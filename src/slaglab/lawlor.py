@@ -57,8 +57,6 @@ def _validate_a(a):
 
 def _P(alpha: float, a, x: float) -> float:
     """P(x) of the family (alpha, a); inf where it overflows a float."""
-    if x * x == math.inf:  # _log_P would meet inf - inf
-        return math.inf
     log_p = float(_log_P(alpha, np.asarray(a, dtype=float), x))
     return math.exp(log_p) if log_p < 709.0 else math.inf
 
@@ -91,14 +89,17 @@ def _log_P(alpha: float, a: np.ndarray, x):
 
     With s = alpha x^2 + sum log1p(a_k x^2), log(e^s - 1) is evaluated as
     s + log(-expm1(-s)), which keeps full relative precision for every s > 0;
-    the form s + log1p(-exp(-s)) loses digits when s is small.
+    the form s + log1p(-exp(-s)) loses digits when s is small.  Where x^2
+    overflows, P is +inf.
     """
-    xx = np.square(x)
-    s = alpha * xx + np.sum(np.log1p(np.multiply.outer(xx, a)), axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xx = np.square(x)
+        s = alpha * xx + np.sum(np.log1p(np.multiply.outer(xx, a)), axis=-1)
         log_p = s + np.log(-np.expm1(-s)) - np.log(xx)
     # s == 0 only where x^2 underflows against every a_k
-    return np.where(s > 0.0, log_p, math.log(alpha + float(np.sum(a))))
+    log_p = np.where(s > 0.0, log_p, math.log(alpha + float(np.sum(a))))
+    log_p[xx == math.inf] = math.inf
+    return log_p
 
 
 @dataclass(frozen=True)
@@ -179,19 +180,6 @@ class NeckFamily:
         return quadrature.integrate_rows(
             self._rows, lower, upper, self._cutoff, self._scales
         )
-
-    # scalar integrands, the input of the independent oracle rules
-
-    def _angle_integrand(self, k):
-        ak = float(self.a[k])
-
-        def g(x):
-            return ak / (1.0 + ak * x * x) * self.inv_sqrt_P(x)
-
-        return g
-
-    def _area_integrand(self, x):
-        return 0.5 * self.inv_sqrt_P(x)
 
     def psi(self, y: float) -> np.ndarray:
         """Component phases psi_k(y); increasing from 0 to phi_k."""

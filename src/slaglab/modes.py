@@ -17,6 +17,10 @@ of the equation's WKB branch; then c1 = m + 8, c0 = 4 (m + 2), and assembled
 single modes solve the linearized equation identically
 (`solve_separation_radial`, `assemble_expansion`).
 
+The degree-k harmonics come from a closed-form basis with integer
+coefficients, orthonormalized on the sphere one parity class of exponents
+at a time (`harmonic_basis`).
+
 The hierarchy with damping c1 = m + 6 and constant c0 = 3 (m + 1) (the
 weight exponent b = m + 1, whose residual against the full equation is the
 lower-order term -alpha f) is exposed as the default of `solve_radial_mode`;
@@ -49,14 +53,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import DimensionMismatchError
-from .graphs import ScalarField, monomial_values, polynomial_field, row_sums
+from .graphs import ScalarField, monomial_values, row_sums
 
 SERIES_FLOOR = 1e-22
 SERIES_TERMS = 600
@@ -91,66 +94,37 @@ def harmonic_dimension(m: int, k: int) -> int:
     return math.comb(m + k - 1, k) - math.comb(m + k - 3, k - 2)
 
 
-def laplacian_matrix(m: int, k: int) -> np.ndarray:
-    """Matrix of the flat Laplacian from degree-k to degree-(k-2) monomials."""
-    cols = monomials(m, k)
-    rows = monomials(m, k - 2) if k >= 2 else []
-    row_index = {beta: i for i, beta in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, beta in enumerate(cols):
-        for i in range(m):
-            if beta[i] >= 2:
-                target = list(beta)
-                target[i] -= 2
-                mat[row_index[tuple(target)], j] += beta[i] * (beta[i] - 1)
-    return mat
+def _laplacian(poly: dict) -> dict:
+    """Flat Laplacian of a polynomial stored as {exponents: integer}."""
+    out: dict = {}
+    for beta, c in poly.items():
+        for i, b in enumerate(beta):
+            if b >= 2:
+                key = beta[:i] + (b - 2,) + beta[i + 1:]
+                out[key] = out.get(key, 0) + c * b * (b - 1)
+    return out
 
 
-def _fraction_nullspace(mat: np.ndarray):
-    """Exact nullspace basis of an integer matrix over the rationals."""
-    rows, cols = mat.shape
-    work = [[Fraction(int(v)) for v in row] for row in mat]
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -work[i][fc]
-        basis.append(vec)
-    return basis
+def _closed_form_harmonics(m: int, k: int):
+    """A basis of the degree-k harmonics on R^m with integer coefficients.
 
-
-def sphere_monomial_moment(beta) -> float:
-    """Integral of x^beta over the unit sphere S^{m-1}.
-
-    Zero unless every exponent is even; otherwise
-    2 prod_i Gamma((beta_i + 1)/2) / Gamma((|beta| + m)/2).
+    For s in {0, 1} and every monomial q of degree k - s in x' = (x_2..x_m),
+    h = sum_j (-1)^j x_1^(2j+s)/(2j+s)! Lap'^j q, where Lap' is the Laplacian
+    in x'; here h is scaled by k! to integers.  Then d_1^2 h = -Lap' h, so h
+    is harmonic, and these C(m+k-2, k) + C(m+k-3, k-1) polynomials are
+    independent (Axler-Bourdon-Ramey, Harmonic Function Theory, ch. 5).
+    Every term of h has the exponent parities (s, q mod 2).
     """
-    beta = tuple(int(b) for b in beta)
-    if any(b % 2 for b in beta):
-        return 0.0
-    m = len(beta)
-    log_num = sum(math.lgamma(0.5 * (b + 1)) for b in beta)
-    log_den = math.lgamma(0.5 * (sum(beta) + m))
-    return 2.0 * math.exp(log_num - log_den)
+    for s in range(min(k, 1) + 1):
+        for q in monomials(m - 1, k - s):
+            h, term, j = {}, {q: 1}, 0
+            while term:
+                scale = (-1) ** j * (math.factorial(k) // math.factorial(2 * j + s))
+                for beta, c in term.items():
+                    h[(2 * j + s,) + beta] = scale * c
+                term = _laplacian(term)
+                j += 1
+            yield h
 
 
 @dataclass(frozen=True)
@@ -174,37 +148,12 @@ class HarmonicPolynomial:
     def __call__(self, x) -> float:
         return float(self.evaluate(np.asarray(x, dtype=float)[None, :])[0])
 
-    def laplacian_coeffs(self) -> dict:
-        out: dict = {}
-        for beta, c in self.coeffs.items():
-            for i in range(self.m):
-                if beta[i] >= 2:
-                    target = list(beta)
-                    target[i] -= 2
-                    key = tuple(target)
-                    out[key] = out.get(key, 0.0) + c * beta[i] * (beta[i] - 1)
-        return out
-
-    def max_laplacian_coeff(self) -> float:
-        lap = self.laplacian_coeffs()
-        return max((abs(v) for v in lap.values()), default=0.0)
-
-    def as_field(self) -> ScalarField:
-        return polynomial_field(self.coeffs, self.m)
-
-    def sphere_inner(self, other: "HarmonicPolynomial") -> float:
-        total = 0.0
-        for beta, c in self.coeffs.items():
-            for gamma, d in other.coeffs.items():
-                merged = tuple(b + g for b, g in zip(beta, gamma))
-                total += c * d * sphere_monomial_moment(merged)
-        return total
-
 
 def _sphere_moment_matrix(exponents: np.ndarray) -> np.ndarray:
     """Sphere moments of all products of two monomials of one degree k:
-    M[a, b] = int x^(beta_a + beta_b) over S^{m-1}, from a table of lgamma at
-    half-integers (the closed form of `sphere_monomial_moment`)."""
+    M[a, b] = int x^beta over S^{m-1}, beta = beta_a + beta_b, which is 0
+    unless every beta_i is even and else 2 prod_i Gamma((beta_i + 1)/2) /
+    Gamma((|beta| + m)/2), from a table of lgamma at half-integers."""
     merged = exponents[:, None, :] + exponents[None, :, :]
     m = exponents.shape[1]
     total = int(merged[0, 0].sum())
@@ -218,33 +167,41 @@ def _sphere_moment_matrix(exponents: np.ndarray) -> np.ndarray:
 def harmonic_basis(m: int, k: int) -> tuple:
     """L^2(S^{m-1})-orthonormal basis of the degree-k harmonics on R^m.
 
-    The kernel of the Laplacian on degree-k monomials is computed exactly
-    over the rationals, then orthonormalized against the closed-form sphere
-    moments of monomials: with C the coefficient matrix and M the monomial
-    moment matrix, the Gram matrix is C M C^T.
+    With C the coefficients of `_closed_form_harmonics`, rows scaled to unit
+    sphere norm, and M the closed-form sphere moments of monomials, C becomes
+    G^{-1/2} C for the Gram matrix G = C M C^T.  Each generator lies in one
+    parity class of exponents mod 2, and moments across classes are exactly
+    0, so this runs per class; the basis is ordered by class.
     """
     if m < 3:
         raise DimensionMismatchError("m must be >= 3")
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    cols = monomials(m, k)
-    if k < 2:
-        raw = np.eye(len(cols))
-    else:
-        raw = np.array(_fraction_nullspace(laplacian_matrix(m, k)), dtype=float)
-    # symmetric orthonormalization via the sphere Gram matrix
-    gram = raw @ _sphere_moment_matrix(np.array(cols, dtype=int)) @ raw.T
-    evals, evecs = np.linalg.eigh(gram)
-    if np.min(evals) <= 0:
-        raise RuntimeError("sphere Gram matrix is not positive definite")
-    transform = evecs @ np.diag(evals ** -0.5) @ evecs.T
-    coeffs = transform.T @ raw
-    support = (transform.T != 0.0) @ (raw != 0.0)
-    return tuple(
-        HarmonicPolynomial(m, k, {beta: float(c) for beta, c, used
-                                  in zip(cols, row, used_row) if used})
-        for row, used_row in zip(coeffs, support)
-    )
+    classes: dict = {}
+    for h in _closed_form_harmonics(m, k):
+        classes.setdefault(tuple(b % 2 for b in next(iter(h))), []).append(h)
+    basis = []
+    for _, group in sorted(classes.items()):
+        cols = sorted(set().union(*group))
+        raw = np.array([[h.get(beta, 0) for beta in cols] for h in group], dtype=float)
+        gram = raw @ _sphere_moment_matrix(np.array(cols, dtype=int)) @ raw.T
+        # unit diagonal first: at (5, 8) this takes the condition number of G
+        # from 3e5 to 20, and the orthonormality defect down with it
+        scale = np.diag(gram) ** -0.5
+        raw *= scale[:, None]
+        gram *= np.outer(scale, scale)
+        evals, evecs = np.linalg.eigh(gram)
+        if np.min(evals) <= 0:
+            raise RuntimeError("sphere Gram matrix is not positive definite")
+        transform = evecs @ np.diag(evals ** -0.5) @ evecs.T
+        coeffs = transform.T @ raw
+        support = (transform.T != 0.0) @ (raw != 0.0)
+        basis.extend(
+            HarmonicPolynomial(m, k, {beta: float(c) for beta, c, used
+                                      in zip(cols, row, used_row) if used})
+            for row, used_row in zip(coeffs, support)
+        )
+    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +312,7 @@ def _collocate(n, ends, seed, m, k, alpha, damping, constant):
     integration constants, and the ODE is collocated at every node; unlike
     differentiation matrices, the integrals keep the system well
     conditioned.  Every panel is solved for the unit seeds (1, 0) and (0, 1)
-    in one batched solve; the seed of each panel is the right-end value and
+    in batched solves; the seed of each panel is the right-end value and
     slope of the panel before it, and the first one comes from the series.
     """
     x, _, integrate, integrate2 = _lobatto(n)
@@ -364,15 +321,22 @@ def _collocate(n, ends, seed, m, k, alpha, damping, constant):
     offset = half * (x + 1.0)                     # t - a at the nodes
     t = ends[:-1, None] + offset
     drift = 2.0 * (alpha + damping * t)
-    once = half[:, :, None] * integrate
-    twice = (half * half)[:, :, None] * integrate2
-    system = drift[:, :, None] * once + shift * twice
-    system[:, np.arange(n + 1), np.arange(n + 1)] += 4.0 * t * t
-    rhs = np.stack([np.full_like(t, -shift), -drift - shift * offset], axis=2)
-    curvature = np.linalg.solve(system, rhs)
-    unit_slopes = once @ curvature
+    unit = np.empty((len(half), n + 1, 2))
+    unit_slopes = np.empty_like(unit)
+    # batches of at most 8192 matrix entries keep every temporary below
+    # glibc's 128 KB mmap and trim thresholds; past them each solve at N = 48
+    # takes about 230 page faults for fresh pages, more than the batches cost
+    chunk = max(1, 8192 // (n + 1) ** 2)
+    for c in (slice(p, p + chunk) for p in range(0, len(half), chunk)):
+        once = half[c, :, None] * integrate
+        twice = (half[c] * half[c])[:, :, None] * integrate2
+        system = drift[c, :, None] * once + shift * twice
+        system[:, np.arange(n + 1), np.arange(n + 1)] += 4.0 * t[c] * t[c]
+        rhs = np.stack([np.full_like(t[c], -shift), -drift[c] - shift * offset[c]], axis=2)
+        curvature = np.linalg.solve(system, rhs)
+        np.matmul(once, curvature, out=unit_slopes[c])
+        np.matmul(twice, curvature, out=unit[c])
     unit_slopes[:, :, 1] += 1.0
-    unit = twice @ curvature
     unit[:, :, 0] += 1.0
     unit[:, :, 1] += offset
     seeds = np.empty((len(ends) - 1, 2))
@@ -502,12 +466,12 @@ def solve_radial_mode(m: int, k: int, alpha: float, t_max: float = 2.0,
     Defaults to the damping/constant pair (m+6, 3(m+1)), whose threshold
     K > 3 (m+1) governs the monotonicity and log-derivative bounds.  The
     handoff point is t_switch = min(0.01, alpha/10), halved while the
-    smallest series term there is not yet below 1e-10.  From t_seed =
-    t_switch/10, deep inside the region where the optimally truncated series
-    is reliable, the linear ODE is solved by Chebyshev-Lobatto collocation
-    on panels whose ends grow by a ratio of at most 2 up to t_max, once with
-    N and once with 2N nodes.  The 2N solution is kept; a relative N/2N gap
-    above COLLOCATION_TOL raises RuntimeError.
+    smallest term of the value or the derivative series there is not yet
+    below 1e-10.  From t_seed = t_switch/10, deep inside the region where
+    the optimally truncated series is reliable, the linear ODE is solved by
+    Chebyshev-Lobatto collocation on panels whose ends grow by a ratio of at
+    most 2 up to t_max, once with N and once with 2N nodes.  The 2N solution
+    is kept; a relative N/2N gap above COLLOCATION_TOL raises RuntimeError.
     """
     if m < 3 or k < 0 or alpha <= 0.0 or t_max <= 0.0:
         raise ValueError("need m >= 3, k >= 0, alpha > 0, t_max > 0")
@@ -516,8 +480,8 @@ def solve_radial_mode(m: int, k: int, alpha: float, t_max: float = 2.0,
     coeffs = _series_coefficients(m, k, alpha, damping, constant)
     t_switch = min(0.01, alpha / 10.0)
     for _ in range(40):
-        _, err = _series_sum(coeffs, t_switch)
-        if err < 1e-10:
+        if (_series_sum(coeffs, t_switch)[1] < 1e-10
+                and _series_sum(coeffs, t_switch, deriv=True)[1] < 1e-10):
             break
         t_switch *= 0.5
     else:

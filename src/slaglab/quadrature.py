@@ -16,10 +16,9 @@ the 2N sum is returned when the gap is within tolerance; otherwise N doubles
 up to a cap, and past the cap the rule raises `QuadratureError`.  A value is
 never returned unchecked.
 
-Two algorithmically independent rules stay as oracles for the tests:
-`integrate_segment`, adaptive Gauss-Kronrod (scipy.integrate.quad, imported
-on use), and a fixed-order tanh-sinh rule, which the verification suites run
-at doubled node counts.
+The tests check this rule against two algorithmically independent oracles,
+adaptive Gauss-Kronrod and a fixed-order tanh-sinh rule; they live in
+`tests/oracles.py`, not in the library.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .errors import QuadratureError
 
 DEFAULT_EPSABS = 1e-13
 DEFAULT_EPSREL = 1e-12
-_QUAD_LIMIT = 400
 
 _BASE_NODES = 24        # N: nodes per panel of the coarse sum
 _MAX_NODES = 192        # cap on 2N
@@ -115,80 +113,3 @@ def _panel_sums(f, left, right, orders):
         sums.append(values[:, :, start:start + n] @ w * half)
         start += n
     return sums
-
-
-def integrate_segment(f, lower, upper, cutoff, epsabs=DEFAULT_EPSABS,
-                      epsrel=DEFAULT_EPSREL):
-    """Adaptive oracle: integrate a scalar f over
-    [max(lower, -cutoff), min(upper, cutoff)] via x = sinh(u)."""
-    from scipy.integrate import quad
-
-    lo = max(lower, -cutoff)
-    hi = min(upper, cutoff)
-    if hi <= lo:
-        return 0.0
-
-    def transformed(u):
-        return f(math.sinh(u)) * math.cosh(u)
-
-    value, err = quad(transformed, math.asinh(lo), math.asinh(hi),
-                      epsabs=epsabs, epsrel=epsrel, limit=_QUAD_LIMIT)
-    if err > max(100.0 * epsabs, 1e-9 * max(1.0, abs(value))):
-        raise QuadratureError(
-            f"adaptive quadrature error estimate {err:.3e} exceeds tolerance"
-        )
-    return value
-
-
-def tanh_sinh_nodes(order, half_width=3.3):
-    """Symmetric tanh-sinh abscissae and weights on (-1, 1).
-
-    order is the number of positive nodes; the rule has 2*order + 1 points.
-    """
-    h = half_width / order
-    nodes = []
-    half_pi = 0.5 * math.pi
-    for k in range(-order, order + 1):
-        t = k * h
-        sh = math.sinh(t)
-        x = math.tanh(half_pi * sh)
-        w = h * half_pi * math.cosh(t) / math.cosh(half_pi * sh) ** 2
-        nodes.append((x, w))
-    return nodes
-
-
-def tanh_sinh(f, a, b, order=60):
-    """Fixed tanh-sinh rule for a smooth integrand on a finite interval."""
-    if a == b:
-        return 0.0
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    total = 0.0
-    for x, w in tanh_sinh_nodes(order):
-        total += w * f(mid + half * x)
-    return total * half
-
-
-def tanh_sinh_real_line(f, cutoff, order=120):
-    """tanh-sinh rule over [-cutoff, cutoff] (oracle use).
-
-    The rule is applied to the sinh-transformed integrand, split at its peak
-    u = 0 so the endpoint-clustered nodes land where the mass sits.
-    """
-    return tanh_sinh_partial(f, math.inf, cutoff, order=order)
-
-
-def tanh_sinh_partial(f, upper, cutoff, order=120):
-    """tanh-sinh rule over [-cutoff, min(upper, cutoff)] (oracle use)."""
-    if upper <= -cutoff:
-        return 0.0
-    u_lo = -math.asinh(cutoff)
-    u_hi = math.asinh(min(upper, cutoff))
-
-    def transformed(u):
-        return f(math.sinh(u)) * math.cosh(u)
-
-    if u_lo < 0.0 < u_hi:
-        return (tanh_sinh(transformed, u_lo, 0.0, order=order)
-                + tanh_sinh(transformed, 0.0, u_hi, order=order))
-    return tanh_sinh(transformed, u_lo, u_hi, order=order)

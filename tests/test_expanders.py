@@ -19,7 +19,8 @@ from slaglab.expanders import (
 )
 from slaglab.geometry import liouville_form
 from slaglab.lawlor import LawlorNeck, lawlor_P
-from slaglab.quadrature import tanh_sinh_real_line
+
+from oracles import angle_integrand, integrate_segment, tanh_sinh_real_line
 
 
 def test_P_at_zero():
@@ -66,7 +67,7 @@ def test_angles_against_tanh_sinh_oracle():
     expander = JLTExpander(1.0, [1.0, 1.0, 1.0])
     for k in range(3):
         oracle = tanh_sinh_real_line(
-            expander._angle_integrand(k), expander._cutoff, order=240
+            angle_integrand(expander, k), expander._cutoff, order=240
         )
         assert expander.phis[k] == pytest.approx(oracle, abs=1e-9)
 
@@ -279,8 +280,6 @@ def test_decay_rate_toward_the_cone():
     # 10% (the residual polynomial prefactor accounts for the deviation).
     # Distances come from the angle-tail integrals; the direct route through
     # the ambient point would lose them to floating-point cancellation.
-    from slaglab import quadrature
-
     alpha = 1.0
     expander = JLTExpander(alpha, [1.0, 2.0, 3.0])
     x = np.array([0.5, math.sqrt(0.5), 0.5])
@@ -289,8 +288,8 @@ def test_decay_rate_toward_the_cone():
     for y in ys:
         tails = np.array(
             [
-                quadrature.integrate_segment(
-                    expander._angle_integrand(k), float(y),
+                integrate_segment(
+                    angle_integrand(expander, k), float(y),
                     expander._cutoff, expander._cutoff,
                 )
                 for k in range(3)

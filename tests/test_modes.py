@@ -15,12 +15,17 @@ from slaglab.modes import (
     expansion_field,
     harmonic_basis,
     harmonic_dimension,
-    laplacian_matrix,
     monomials,
     solve_radial_mode,
-    sphere_monomial_moment,
     taylor_c1,
     taylor_recursion_bracket,
+)
+
+from oracles import (
+    laplacian_matrix,
+    max_laplacian_coeff,
+    sphere_inner,
+    sphere_monomial_moment,
 )
 
 
@@ -56,11 +61,34 @@ def test_dimension_matches_laplacian_rank_oracle(m, k):
     assert len(harmonic_basis(m, k)) == expected
 
 
+@pytest.mark.parametrize("k", range(9))
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_basis_dimension_harmonicity_and_parity_classes(m, k):
+    # dimension against the rank oracle, harmonicity against the Laplacian
+    # matrix, and each polynomial inside one parity class of exponents mod 2
+    # with no coefficient that is rounding noise
+    basis = harmonic_basis(m, k)
+    cols = monomials(m, k)
+    lap = laplacian_matrix(m, k)
+    rank = np.linalg.matrix_rank(lap.astype(float)) if k >= 2 else 0
+    assert len(basis) == harmonic_dimension(m, k) == len(cols) - rank
+    index = {beta: i for i, beta in enumerate(cols)}
+    coeffs = np.zeros((len(basis), len(cols)))
+    for row, poly in zip(coeffs, basis):
+        for beta, c in poly.coeffs.items():
+            row[index[beta]] = c
+    scale = np.max(np.abs(coeffs), axis=1)
+    assert np.all(np.abs(lap @ coeffs.T) <= 1e-12 * scale)
+    for poly, largest in zip(basis, scale):
+        assert len({tuple(b % 2 for b in beta) for beta in poly.coeffs}) == 1
+        assert min(abs(c) for c in poly.coeffs.values()) >= 1e-12 * largest
+
+
 def test_basis_is_harmonic_in_coefficients():
     for (m, k) in ((3, 3), (4, 4), (5, 3)):
         for poly in harmonic_basis(m, k):
             scale = max(abs(c) for c in poly.coeffs.values())
-            assert poly.max_laplacian_coeff() <= 1e-12 * scale
+            assert max_laplacian_coeff(poly) <= 1e-12 * scale
 
 
 def test_basis_is_orthonormal_on_the_sphere():
@@ -68,7 +96,7 @@ def test_basis_is_orthonormal_on_the_sphere():
     n = len(basis)
     for i in range(n):
         for j in range(i, n):
-            inner = basis[i].sphere_inner(basis[j])
+            inner = sphere_inner(basis[i], basis[j])
             assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
 
@@ -296,8 +324,14 @@ def test_collocation_matches_runge_kutta_oracle(m, k, alpha, separation):
     solve = solve_separation_radial if separation else solve_radial_mode
     solution = solve(m, k, alpha, t_max=2.0)
     oracle = _rk_oracle(solution, 2.0)
-    # at t_switch itself the series answers; the grid starts just past it
-    grid = np.linspace(solution.t_switch, 2.0, 60)[1:]
+    # at t_switch itself the series answers, and it must agree with the
+    # collocation there in value and derivative
+    handoff = np.array([solution.t_switch])
+    for deriv in (False, True):
+        series = solution.values(handoff, deriv=deriv)[0]
+        collocated = solution._collocated(handoff, deriv)[0]
+        assert abs(series - collocated) <= 1e-9 * max(1.0, abs(collocated))
+    grid = np.linspace(solution.t_switch, 2.0, 60)
     ref_a, ref_ap = oracle(grid)
     values = np.array([solution.value(float(t)) for t in grid])
     slopes = np.array([solution.derivative(float(t)) for t in grid])
@@ -357,7 +391,7 @@ def test_moment_matrix_matches_sphere_moments():
 def test_larger_basis_is_orthonormal_on_the_sphere():
     basis = harmonic_basis(5, 4)
     for i, j in ((0, 0), (0, 1), (7, 7), (3, 20), (len(basis) - 1, len(basis) - 1)):
-        inner = basis[i].sphere_inner(basis[j])
+        inner = sphere_inner(basis[i], basis[j])
         assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
 

@@ -13,6 +13,8 @@ from slaglab.errors import QuadratureError
 from slaglab.expanders import JLTExpander
 from slaglab.lawlor import LawlorNeck, _log_P
 
+from oracles import angle_integrand, area_integrand, integrate_segment
+
 
 def _log_P_oracle(alpha, a, x):
     with mp.workdps(50):
@@ -37,6 +39,18 @@ def test_log_P_removable_point_and_underflow():
     a = np.array([1.0, 2.0, 3.0])
     values = _log_P(0.5, a, np.array([0.0, 1e-200, -1e-200]))
     np.testing.assert_allclose(values, math.log(6.5), rtol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_log_P_infinite_where_x_squared_overflows(alpha):
+    a = [1.0, 2.0, 3.0]
+    family = LawlorNeck(a) if alpha == 0.0 else JLTExpander(alpha, a)
+    xs = [1e160, -1e160, 1e300, -1e300]
+    for x in xs:
+        assert family.log_P(x) == math.inf
+        assert family.inv_sqrt_P(x) == 0.0
+        assert family.P(x) == math.inf
+    np.testing.assert_array_equal(_log_P(alpha, np.array(a), np.array(xs)), math.inf)
 
 
 def test_integrate_rows_closed_forms():
@@ -127,11 +141,11 @@ def test_fixed_rule_matches_adaptive_oracle(log_a, alpha, v):
         return
     cutoff = family._cutoff
     for k in range(family.m):
-        g = family._angle_integrand(k)
+        g = angle_integrand(family, k)
         assert _agree(family.phis[k],
-                      quadrature.integrate_segment(g, -math.inf, math.inf, cutoff))
-        assert _agree(psis[k], quadrature.integrate_segment(g, -math.inf, y, cutoff))
+                      integrate_segment(g, -math.inf, math.inf, cutoff))
+        assert _agree(psis[k], integrate_segment(g, -math.inf, y, cutoff))
     if alpha == 0.0:
-        assert _agree(family.A, quadrature.integrate_segment(
-            family._area_integrand, -math.inf, math.inf, cutoff))
+        assert _agree(family.A, integrate_segment(
+            area_integrand(family), -math.inf, math.inf, cutoff))
         assert abs(family.angle_sum - math.pi) < 1e-12
