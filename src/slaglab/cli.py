@@ -411,7 +411,7 @@ def cmd_floer(args) -> int:
             cx = floer_mod.complex_from_json(fh.read())
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from exc
-    except (KeyError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise UsageError(f"malformed complex file: {exc}") from exc
 
     dims = cx.cohomology_dims()

@@ -203,6 +203,21 @@ def test_floer_rejects_bad_complex(tmp_path: Path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"generators": [1]}',
+    '{"generators": [{"id": "a", "degree": 0}], "differential": [[["a"], "a"]]}',
+    '{"generators": [{"id": "a", "degree": 1.5}]}',
+])
+def test_floer_malformed_file_is_a_usage_error(tmp_path: Path, text):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    proc = run_cli("floer", "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: malformed complex: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_error_on_unknown_command():
     proc = run_cli("doesnotexist")
     assert proc.returncode == 2

@@ -1,10 +1,21 @@
 """Tests for the GF(2) complex bookkeeping."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slaglab.errors import DifferentialError
 from slaglab.floer import (
+    FloerComplexZ2,
     Generator,
     build_complex,
     complex_from_json,
@@ -301,3 +312,206 @@ def test_cohomology_result_is_a_copy():
     cx = build_complex([Generator("p", 0)], {})
     cx.cohomology_dims()[0] = 7
     assert cx.cohomology_dims() == {0: 1}
+
+
+# ---------------------------------------------------------------------------
+# shared bit rows against the dense oracle; deterministic d^2 messages
+# ---------------------------------------------------------------------------
+
+def _dense_matrix(cx, k):
+    """d_k as a 0/1 matrix: rows are the degree-k generators, columns the
+    degree-(k+1) ones, both in generator order."""
+    ids = [g.id for g in cx.generators if g.degree == k]
+    targets = [g.id for g in cx.generators if g.degree == k + 1]
+    mat = np.zeros((len(ids), len(targets)), dtype=np.uint8)
+    for p, q in cx.differential:
+        if p in ids:
+            mat[ids.index(p), targets.index(q)] = 1
+    return mat
+
+
+def test_stored_rows_are_the_dense_differential():
+    rng = np.random.default_rng(4)
+    for size in [6] * 40 + [12] * 20:
+        cx = _random_complex(rng, size)
+        for k in cx.degrees():
+            mat = _dense_matrix(cx, k)
+            rows = cx._rows(k)
+            bits = np.array([[row >> i & 1 for i in range(mat.shape[1])] for row in rows],
+                            dtype=np.uint8).reshape(mat.shape)
+            assert np.array_equal(bits, mat)
+            assert all(row >> mat.shape[1] == 0 for row in rows)
+            assert gf2_rank(rows) == _dense_rank(mat) == cx.differential_rank(k)
+
+
+def _first_odd_paths(gens, differential):
+    """The d^2 offender as the per-pair parity walk finds it: the first
+    source in generator order with targets reached an odd number of times."""
+    targets = {}
+    for p, q in differential:
+        targets.setdefault(p, []).append(q)
+    for g in gens:
+        parity = {}
+        for q in targets.get(g.id, ()):
+            for r in targets.get(q, ()):
+                parity[r] = parity.get(r, 0) ^ 1
+        odd = [r for r, bit in parity.items() if bit]
+        if odd:
+            return g.id, sorted(odd)
+    return None
+
+
+def test_flipped_entry_names_the_first_odd_source():
+    rng = np.random.default_rng(5)
+    flipped = 0
+    for _ in range(200):
+        cx = _random_complex(rng, 8)
+        candidates = sorted((p.id, q.id) for p in cx.generators for q in cx.generators
+                            if q.degree == p.degree + 1)
+        if not candidates:
+            continue
+        entry = candidates[int(rng.integers(len(candidates)))]
+        differential = set(cx.differential) ^ {entry}
+        offender = _first_odd_paths(cx.generators, differential)
+        if offender is None:
+            FloerComplexZ2(cx.generators, differential)
+            continue
+        flipped += 1
+        p, odd = offender
+        with pytest.raises(DifferentialError) as info:
+            build_complex(list(cx.generators), dict.fromkeys(differential, 1))
+        assert str(info.value) == (
+            f"d^2 != 0: generator {p} reaches {odd} an odd number of times")
+    assert flipped >= 40
+
+
+_SIX_SOURCES = textwrap.dedent("""
+    from slaglab.errors import DifferentialError
+    from slaglab.floer import FloerComplexZ2, Generator, build_complex
+
+    gens = [Generator(f"{kind}{i}", degree)
+            for degree, kind in enumerate(("src", "mid", "top")) for i in range(6)]
+    cases = [
+        lambda: build_complex(gens, {**{(f"src{i}", f"mid{i}"): 1 for i in range(6)},
+                                     **{(f"mid{i}", f"top{i}"): 1 for i in range(6)}}),
+        lambda: FloerComplexZ2(gens, [(f"src{i}", f"ghost{i}") for i in range(6)]),
+        lambda: build_complex(gens, {(f"src{i}", f"top{i}"): 1 for i in range(6)}),
+    ]
+    for case in cases:
+        try:
+            case()
+        except DifferentialError as exc:
+            print(exc)
+""")
+
+
+def test_differential_errors_do_not_depend_on_the_hash_seed():
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _SIX_SOURCES], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines() == [
+        "d^2 != 0: generator src0 reaches ['top0'] an odd number of times",
+        "unknown generator in entry (src0, ghost0)",
+        "entry (src0, top0) connects degrees 0 -> 2; "
+        "the differential must raise degree by exactly 1",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the serializer against json.dumps
+# ---------------------------------------------------------------------------
+
+def _oracle_json(cx):
+    doc = {
+        "generators": [
+            {"id": g.id, "degree": g.degree, "fL": g.f_l, "fLp": g.f_lp}
+            for g in cx.generators
+        ],
+        "differential": sorted([p, q] for p, q in cx.differential),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+_AWKWARD_IDS = ["caf\u00e9", "\u65e5\u672c", "\U0001f600", 'say "hi"', "back\\slash",
+                "ctl\x00\x1f\n\t\x7f", "", "/"]
+
+
+def _squares(ids, potentials=(0.0, 0.0)):
+    """Cancelling squares a -> b1, b2 -> c, one per group of four ids."""
+    gens, counts = [], {}
+    for i in range(0, len(ids) - 3, 4):
+        a, b1, b2, c = ids[i:i + 4]
+        gens += [Generator(a, 0, *potentials), Generator(b1, 1, *potentials),
+                 Generator(b2, 1, *potentials), Generator(c, 2, *potentials)]
+        counts.update({(a, b1): 1, (a, b2): 1, (b1, c): 1, (b2, c): 1})
+    return gens, counts
+
+
+def test_serializer_matches_json_dumps_on_awkward_ids():
+    cx = build_complex(*_squares(_AWKWARD_IDS))
+    text = complex_to_json(cx)
+    assert text == _oracle_json(cx)
+    assert complex_to_json(complex_from_json(text)) == text
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                                   1.7976931348623157e308, 0.1, 1e16, 1e-7,
+                                   math.nan, math.inf, -math.inf,
+                                   0, 1, -3, 10 ** 20, True, np.float64(0.25)])
+def test_serializer_matches_json_dumps_on_scalars(value):
+    gens = [Generator("a", 0, value, 1), Generator("b", 1, 0, value)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cx = build_complex(gens, {("a", "b"): 1})
+    assert complex_to_json(cx) == _oracle_json(cx)
+
+
+def test_serializer_matches_json_dumps_on_empty_and_non_string_ids():
+    for cx in (build_complex([], {}), build_complex([Generator("p", 0)], {})):
+        assert complex_to_json(cx) == _oracle_json(cx)
+    assert complex_to_json(build_complex([], {})) == (
+        '{\n  "differential": [],\n  "generators": []\n}')
+    # 1 == True and 2.5 == 2.5: the entry keeps its own id objects
+    cx = FloerComplexZ2([Generator(1, 0), Generator(2.5, 1), Generator(None, 2)],
+                        [(True, 2.5)])
+    assert complex_to_json(cx) == _oracle_json(cx)
+    cx = FloerComplexZ2([Generator(("t", 1), 0), Generator("u", 1)], [(("t", 1), "u")])
+    assert complex_to_json(cx) == _oracle_json(cx)
+
+
+_ids = st.text(max_size=6)
+_potentials = st.floats()  # the reader turns every potential into a float
+
+
+@st.composite
+def _valid_complexes(draw):
+    """A complex with d^2 = 0: candidate entries between adjacent degrees are
+    kept, in drawn order, only while every two-step path still cancels."""
+    ids = draw(st.lists(_ids, unique=True, max_size=10))
+    gens = [Generator(gid, draw(st.integers(-2, 3)), draw(_potentials), draw(_potentials))
+            for gid in ids]
+    candidates = [(p.id, q.id) for p in gens for q in gens if q.degree == p.degree + 1]
+    keep = draw(st.lists(st.booleans(), min_size=len(candidates),
+                         max_size=len(candidates)))
+    differential = set()
+    for entry, wanted in zip(candidates, keep):
+        if wanted and _first_odd_paths(gens, differential | {entry}) is None:
+            differential.add(entry)
+    return gens, dict.fromkeys(differential, 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_valid_complexes())
+def test_serializer_round_trip_matches_json_dumps(drawn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cx = build_complex(*drawn)
+        text = complex_to_json(cx)
+        assert text == _oracle_json(cx)
+        back = complex_from_json(text)
+    assert complex_to_json(back) == text
+    assert back.cohomology_dims() == cx.cohomology_dims()
