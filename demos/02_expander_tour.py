@@ -23,7 +23,7 @@ print(f"angle sum (< pi)       : {expander.angle_sum:.10f}")
 print(f"A (closed form)        : {expander.A:.10f}")
 print(f"A (potential limits)   : {expander.invariant_from_potential_limits():.10f}")
 
-y_far = 0.9 * expander._cutoff
+y_far = 0.9 * expander.cutoff
 print(f"theta limits           : {expander.theta(-y_far):+.3e} -> "
       f"{expander.theta(y_far):+.10f}   (0 and sum phi - pi)")
 

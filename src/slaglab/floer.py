@@ -187,17 +187,12 @@ def build_complex(generators, counts) -> FloerComplexZ2:
     a warning: a nonconstant holomorphic strip has positive area.
     """
     gens = [g if isinstance(g, Generator) else Generator(**g) for g in generators]
-    by_id = {g.id: g for g in gens}
-    differential = set()
-    for (p_id, q_id), n in counts.items():
-        if n not in (0, 1):
-            raise DifferentialError("counts are mod 2: entries must be 0 or 1")
-        if n == 0:
-            continue
-        if p_id not in by_id or q_id not in by_id:
-            raise DifferentialError(f"count references unknown generator ({p_id}, {q_id})")
-        differential.add((p_id, q_id))
+    if any(n not in (0, 1) for n in counts.values()):
+        raise DifferentialError("counts are mod 2: entries must be 0 or 1")
+    # FloerComplexZ2 rejects entries naming unknown generators
+    differential = {entry for entry, n in counts.items() if n}
     cx = FloerComplexZ2(gens, differential)
+    by_id = cx._by_id
     # a pair draws an area check only if one of its ends tracks potentials
     tracked = {g.id for g in gens if not g.f_l == g.f_lp == 0.0}
     strips = ([(p, q) for p, q in differential if p in tracked or q in tracked]
@@ -318,7 +313,10 @@ def complex_from_json(text: str) -> FloerComplexZ2:
     """Read the schema above; a file of the wrong shape, with non-string ids
     or non-integral degrees raises DifferentialError, as does a complex that
     fails `build_complex`'s checks."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:  # a RuntimeError, which would read as numerical
+        raise _malformed("nested too deeply to parse") from None
     if type(doc) is not dict or type(doc.get("generators")) is not list:
         raise _malformed('expected an object with a "generators" list')
     entries = doc.get("differential", [])

@@ -120,8 +120,9 @@ LawlorAngles = NeckAngles
 
 class NeckFamily:
     """The member (alpha, a), alpha >= 0, of the neck family, caching its
-    angles, invariant, and radial profiles.  `LawlorNeck` and
-    `expanders.JLTExpander` pin alpha = 0 and alpha > 0."""
+    angles, invariant, and radial profiles.  `cutoff` is where its
+    integrals stop: the integrand mass beyond it is below an analytic bound.
+    `LawlorNeck` and `expanders.JLTExpander` pin alpha = 0 and alpha > 0."""
 
     # bias of the grading and its derivative; only JLTExpander sets it
     _fault_bias = 0.0
@@ -132,7 +133,7 @@ class NeckFamily:
         self.alpha = float(alpha)
         self.a = _validate_a(a)
         self.m = self.a.shape[0]
-        self._cutoff = self._tail_cutoff()
+        self.cutoff = self._tail_cutoff()
         self._scales = 1.0 / np.sqrt(self.a)
         if self.alpha > 0.0:
             self._scales = np.append(self._scales, 1.0 / math.sqrt(self.alpha))
@@ -178,7 +179,7 @@ class NeckFamily:
 
     def _integrate(self, lower: float, upper: float) -> np.ndarray:
         return quadrature.integrate_rows(
-            self._rows, lower, upper, self._cutoff, self._scales
+            self._rows, lower, upper, self.cutoff, self._scales
         )
 
     def psi(self, y: float) -> np.ndarray:
@@ -237,7 +238,7 @@ class NeckFamily:
     def invariant_from_potential_limits(self, y_limit: float | None = None) -> float:
         """A(L) = lim f(+inf) - lim f(-inf), from the potential at +-y_limit
         (default 0.9 of the tail cutoff)."""
-        y_big = y_limit if y_limit is not None else 0.9 * self._cutoff
+        y_big = y_limit if y_limit is not None else 0.9 * self.cutoff
         return self.potential(y_big) - self.potential(-y_big)
 
     # -- pointwise geometry ---------------------------------------------------

@@ -208,6 +208,7 @@ def test_floer_rejects_bad_complex(tmp_path: Path):
     '{"generators": [1]}',
     '{"generators": [{"id": "a", "degree": 0}], "differential": [[["a"], "a"]]}',
     '{"generators": [{"id": "a", "degree": 1.5}]}',
+    pytest.param("[" * 100000 + "]" * 100000, id="nested-too-deeply"),
 ])
 def test_floer_malformed_file_is_a_usage_error(tmp_path: Path, text):
     path = tmp_path / "malformed.json"
@@ -216,6 +217,24 @@ def test_floer_malformed_file_is_a_usage_error(tmp_path: Path, text):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: malformed complex: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_import_slaglab_loads_neither_checks_nor_cli():
+    code = ("import sys, slaglab; "
+            "print(sorted({'slaglab.checks', 'slaglab.cli'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_passed_holds_each_residual_against_its_own_tolerance():
+    from slaglab import checks, cli
+
+    assert cli.TOLERANCES is checks.TOLERANCES
+    assert checks.passed([(5e-13, "chart_round_trip"), (5e-7, "liouville_tilde_fd")])
+    assert not checks.passed([(5e-7, "chart_round_trip")])
+    assert not checks.passed([(1e-8, "sl_residual")])  # strictly below
+    assert not checks.passed([(math.nan, "sl_residual")])
 
 
 def test_usage_error_on_unknown_command():

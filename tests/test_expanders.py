@@ -67,14 +67,14 @@ def test_angles_against_tanh_sinh_oracle():
     expander = JLTExpander(1.0, [1.0, 1.0, 1.0])
     for k in range(3):
         oracle = tanh_sinh_real_line(
-            angle_integrand(expander, k), expander._cutoff, order=240
+            angle_integrand(expander, k), expander.cutoff, order=240
         )
         assert expander.phis[k] == pytest.approx(oracle, abs=1e-9)
 
 
 def test_theta_limits():
     expander = JLTExpander(1.0, [1.0, 2.0, 3.0])
-    y_far = 0.9 * expander._cutoff
+    y_far = 0.9 * expander.cutoff
     assert expander.theta(-y_far) == pytest.approx(0.0, abs=1e-9)
     assert expander.theta(y_far) == pytest.approx(
         expander.angle_sum - math.pi, abs=1e-9
@@ -221,7 +221,7 @@ def test_tilde_pointwise_rotation():
 def test_tilde_grading_limits():
     expander = JLTExpander(1.0, [1.0, 1.0, 1.0])
     tilde = expander.tilde()
-    y_far = 0.9 * expander._cutoff
+    y_far = 0.9 * expander.cutoff
     x = np.array([1.0, 0.0, 0.0])
     # flat end of the tilde is the y -> +inf end
     assert tilde.point(y_far, x).theta == pytest.approx(0.0, abs=1e-9)
@@ -290,7 +290,7 @@ def test_decay_rate_toward_the_cone():
             [
                 integrate_segment(
                     angle_integrand(expander, k), float(y),
-                    expander._cutoff, expander._cutoff,
+                    expander.cutoff, expander.cutoff,
                 )
                 for k in range(3)
             ]

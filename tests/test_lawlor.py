@@ -80,9 +80,9 @@ def test_angles_against_tanh_sinh_oracle():
     a = [1.0, 1.0, 4.0]
     neck = LawlorNeck(a)
     for k in range(3):
-        oracle = tanh_sinh_real_line(angle_integrand(neck, k), neck._cutoff, order=240)
+        oracle = tanh_sinh_real_line(angle_integrand(neck, k), neck.cutoff, order=240)
         assert neck.phis[k] == pytest.approx(oracle, abs=1e-9)
-    oracle_a = tanh_sinh_real_line(area_integrand(neck), neck._cutoff, order=240)
+    oracle_a = tanh_sinh_real_line(area_integrand(neck), neck.cutoff, order=240)
     assert neck.A == pytest.approx(oracle_a, abs=1e-9)
 
 
@@ -103,8 +103,8 @@ def test_profile_monotone_increasing_with_limits():
     values = np.array([neck.psi(y) for y in grid])
     assert np.all(np.diff(values, axis=0) > 0)
     # psi_k runs from 0 at the flat end to phi_k at the rotated end
-    np.testing.assert_allclose(neck.psi(0.25 * neck._cutoff), neck.phis, atol=1e-8)
-    assert np.max(neck.psi(-0.25 * neck._cutoff)) < 1e-8
+    np.testing.assert_allclose(neck.psi(0.25 * neck.cutoff), neck.phis, atol=1e-8)
+    assert np.max(neck.psi(-0.25 * neck.cutoff)) < 1e-8
 
 
 def test_profile_against_cumulative_oracle():
@@ -113,7 +113,7 @@ def test_profile_against_cumulative_oracle():
     psis = neck.psi(1.0)
     for k in range(3):
         oracle = tanh_sinh_partial(
-            angle_integrand(neck, k), 1.0, neck._cutoff, order=240
+            angle_integrand(neck, k), 1.0, neck.cutoff, order=240
         )
         assert psis[k] == pytest.approx(oracle, abs=1e-9)
 
@@ -165,7 +165,7 @@ def test_invariant_matches_angle_normalization():
 
 def test_invariant_against_oracle():
     neck = LawlorNeck([1.0, 2.0, 3.0])
-    oracle = tanh_sinh_real_line(area_integrand(neck), neck._cutoff, order=240)
+    oracle = tanh_sinh_real_line(area_integrand(neck), neck.cutoff, order=240)
     assert lawlor_invariant_A([1.0, 2.0, 3.0]) == pytest.approx(oracle, abs=1e-9)
 
 

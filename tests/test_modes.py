@@ -52,21 +52,13 @@ def test_dimension_3_2_is_5():
     assert len(harmonic_basis(3, 2)) == 5
 
 
-@pytest.mark.parametrize("m,k", [(3, 2), (3, 4), (4, 3), (5, 2), (4, 5)])
-def test_dimension_matches_laplacian_rank_oracle(m, k):
-    mat = laplacian_matrix(m, k)
-    rank = np.linalg.matrix_rank(mat.astype(float))
-    expected = len(monomials(m, k)) - rank
-    assert harmonic_dimension(m, k) == expected
-    assert len(harmonic_basis(m, k)) == expected
-
-
 @pytest.mark.parametrize("k", range(9))
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_basis_dimension_harmonicity_and_parity_classes(m, k):
     # dimension against the rank oracle, harmonicity against the Laplacian
-    # matrix, and each polynomial inside one parity class of exponents mod 2
-    # with no coefficient that is rounding noise
+    # matrix and against the termwise Laplacian of each polynomial, and each
+    # polynomial inside one parity class of exponents mod 2 with no
+    # coefficient that is rounding noise
     basis = harmonic_basis(m, k)
     cols = monomials(m, k)
     lap = laplacian_matrix(m, k)
@@ -80,15 +72,9 @@ def test_basis_dimension_harmonicity_and_parity_classes(m, k):
     scale = np.max(np.abs(coeffs), axis=1)
     assert np.all(np.abs(lap @ coeffs.T) <= 1e-12 * scale)
     for poly, largest in zip(basis, scale):
+        assert max_laplacian_coeff(poly) <= 1e-12 * largest
         assert len({tuple(b % 2 for b in beta) for beta in poly.coeffs}) == 1
         assert min(abs(c) for c in poly.coeffs.values()) >= 1e-12 * largest
-
-
-def test_basis_is_harmonic_in_coefficients():
-    for (m, k) in ((3, 3), (4, 4), (5, 3)):
-        for poly in harmonic_basis(m, k):
-            scale = max(abs(c) for c in poly.coeffs.values())
-            assert max_laplacian_coeff(poly) <= 1e-12 * scale
 
 
 def test_basis_is_orthonormal_on_the_sphere():

@@ -139,7 +139,7 @@ def test_fixed_rule_matches_adaptive_oracle(log_a, alpha, v):
         psis = family.psi(y)
     except QuadratureError:
         return
-    cutoff = family._cutoff
+    cutoff = family.cutoff
     for k in range(family.m):
         g = angle_integrand(family, k)
         assert _agree(family.phis[k],
