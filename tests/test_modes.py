@@ -52,6 +52,22 @@ def test_dimension_3_2_is_5():
     assert len(harmonic_basis(3, 2)) == 5
 
 
+@pytest.mark.parametrize("m,k", [(3, 2), (3, 4), (4, 3), (5, 2), (4, 5)])
+def test_dimension_matches_laplacian_rank_oracle(m, k):
+    mat = laplacian_matrix(m, k)
+    rank = np.linalg.matrix_rank(mat.astype(float))
+    expected = len(monomials(m, k)) - rank
+    assert harmonic_dimension(m, k) == expected
+    assert len(harmonic_basis(m, k)) == expected
+
+
+def test_basis_is_harmonic_in_coefficients():
+    for (m, k) in ((3, 3), (4, 4), (5, 3)):
+        for poly in harmonic_basis(m, k):
+            scale = max(abs(c) for c in poly.coeffs.values())
+            assert max_laplacian_coeff(poly) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("k", range(9))
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_basis_dimension_harmonicity_and_parity_classes(m, k):
