@@ -27,29 +27,8 @@ from .geometry import (
     strip_area,
     symplectic_form,
 )
-from .lawlor import (
-    LawlorAngles,
-    LawlorNeck,
-    RotatedNeck,
-    lawlor_P,
-    lawlor_angles,
-    lawlor_invariant_A,
-    lawlor_invert,
-    lawlor_point,
-    lawlor_profile,
-    lawlor_tilde,
-)
-from .expanders import (
-    JltAngles,
-    JLTExpander,
-    jlt_P,
-    jlt_angles,
-    jlt_expander_residual,
-    jlt_invariant_A,
-    jlt_invert,
-    jlt_point,
-    jlt_tilde,
-)
+from .lawlor import LawlorNeck, RotatedNeck, lawlor_invert
+from .expanders import JLTExpander, jlt_invert
 from .graphs import (
     ScalarField,
     expander_graph_residual,
@@ -64,7 +43,6 @@ from .modes import (
     HarmonicPolynomial,
     RadialSolution,
     assemble_expansion,
-    check_log_derivative_bound,
     expansion_field,
     harmonic_basis,
     harmonic_dimension,

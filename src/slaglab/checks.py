@@ -101,12 +101,12 @@ def expander(family, samples: int, rng):
 
 def radial(solution, grid):
     """A radial factor: its series and collocated branches agree on their
-    overlap, and above the threshold K > 3(m + 1), 0 <= A'/A <= the
-    log-derivative bound at every grid point."""
+    overlap, and above the threshold K > c0, its constant term, 0 <= A'/A
+    <= the log-derivative bound at every grid point."""
     overlap = solution.overlap_disagreement()
     values = {"overlapDisagreement": overlap}
     residuals = [(overlap, "ode_overlap")]
-    if solution.eigenvalue > 3 * (solution.m + 1):
+    if solution.eigenvalue > solution.constant:
         bound = solution.log_derivative_bound()
         grid = np.asarray(grid, dtype=float)
         ld = solution.values(grid, deriv=True) / solution.values(grid)

@@ -100,8 +100,6 @@ def _emit(report: dict, args, table_rows=None, table_header=None) -> None:
     if fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
-        if table_rows is None:
-            raise UsageError("csv format is only available for tabular commands")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(table_header)
@@ -360,12 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"slaglab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt=True):
+    def add_common(p):
         p.add_argument("--seed", type=int, default=0,
                        help="RNG seed (SLAG_SEED overrides)")
         p.add_argument("--output", help="write the report to a file")
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("lawlor", help="construct and verify a Lawlor neck")
     p.add_argument("--a", required=True, help="comma-separated positive a_k")
@@ -423,6 +420,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # option checks that need no numerical work come first
+        if args.format == "csv" and args.func not in (cmd_expansion, cmd_verify):
+            raise UsageError("csv format is only available for tabular commands")
+        if getattr(args, "samples", 1) < 1:
+            raise UsageError("--samples must be at least 1")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

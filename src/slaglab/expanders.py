@@ -9,8 +9,8 @@ alpha > 0 the defining polynomial acquires a Gaussian factor,
 and the same integrals produce angles phi_k in (0, pi) now summing to a value
 strictly below pi (at alpha = 0 the sum is exactly pi and the family reduces
 to the Lawlor necks).  An expander is the member alpha > 0 of
-`lawlor.NeckFamily`: the submanifold L built there is a graded Lagrangian
-expander with angle function
+`lawlor.NeckFamily`, built only as the class `JLTExpander(alpha, a)`: the
+submanifold L built there is a graded Lagrangian expander with angle function
 
     theta(y) = sum_k psi_k(y) + arg(-y - i P(y)^{-1/2}),
 
@@ -44,18 +44,10 @@ import numpy as np
 
 from ._newton import InversionResult, damped_newton_log
 from .errors import GradingError
-from .geometry import LagrangianSample, liouville_form
-from .lawlor import NeckAngles, NeckFamily, RotatedNeck, _P, _target_angles
+from .geometry import liouville_form
+from .lawlor import NeckFamily, _target_angles
 
 _FAULT_ENV = "SLAG_FAULT_DTHETA"
-
-JltAngles = NeckAngles
-
-
-def jlt_P(alpha: float, a, x: float) -> float:
-    """P(x) = (e^{alpha x^2} prod(1 + a_k x^2) - 1)/x^2, P(0) = alpha + sum a;
-    inf where it overflows a float."""
-    return _P(alpha, a, x)
 
 
 class JLTExpander(NeckFamily):
@@ -87,32 +79,6 @@ class JLTExpander(NeckFamily):
         point, tangent = self.radial_tangent(y, x_unit)
         lam = liouville_form(point, tangent)
         return abs(self.dtheta_dy(y) + 2.0 * self.alpha * lam)
-
-
-def jlt_angles(alpha: float, a) -> NeckAngles:
-    """Angles and closed-form invariant of the expander (alpha, a)."""
-    return JLTExpander(alpha, a).angles()
-
-
-def jlt_point(alpha: float, a, y: float, x_unit) -> LagrangianSample:
-    """Pointwise sample of the expander (see NeckFamily.point)."""
-    return JLTExpander(alpha, a).point(y, x_unit)
-
-
-def jlt_expander_residual(alpha: float, a, y: float, x_unit=None) -> float:
-    """Soliton identity residual at one profile parameter."""
-    return JLTExpander(alpha, a).expander_identity_residual(y, x_unit)
-
-
-def jlt_invariant_A(alpha: float, a):
-    """Closed form and potential-limit evaluation of A; they must agree."""
-    expander = JLTExpander(alpha, a)
-    return expander.A, expander.invariant_from_potential_limits()
-
-
-def jlt_tilde(alpha: float, a) -> RotatedNeck:
-    """Rotated variant with angle sum in ((m-1) pi, m pi) and invariant -A."""
-    return JLTExpander(alpha, a).tilde()
 
 
 def jlt_invert(alpha: float, target_phis, tol=1e-9, max_iter=30,

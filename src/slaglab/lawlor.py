@@ -29,12 +29,15 @@ vanishing on the flat end, f(y) = Int_{-inf}^y dx / (2 sqrt(P)), rises by A.
 The correspondence a -> (phi, A) is a bijection onto {phi in (0,pi)^m,
 sum phi = pi, A > 0}; `lawlor_invert` realizes the inverse by damped Newton
 on log(a).
+
+A member is built only as a class, `NeckFamily(alpha, a)`, `LawlorNeck(a)` or
+`expanders.JLTExpander(alpha, a)`, and read through its attributes and methods.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,17 +56,6 @@ def _validate_a(a):
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
         raise ValueError("a_k must be positive")
     return a
-
-
-def _P(alpha: float, a, x: float) -> float:
-    """P(x) of the family (alpha, a); inf where it overflows a float."""
-    log_p = float(_log_P(alpha, np.asarray(a, dtype=float), x))
-    return math.exp(log_p) if log_p < 709.0 else math.inf
-
-
-def lawlor_P(a, x: float) -> float:
-    """P(x) = (prod(1 + a_k x^2) - 1)/x^2, with P(0) = sum(a_k)."""
-    return _P(0.0, a, x)
 
 
 def oriented_sphere_basis(x_unit: np.ndarray) -> np.ndarray:
@@ -102,22 +94,6 @@ def _log_P(alpha: float, a: np.ndarray, x):
     return log_p
 
 
-@dataclass(frozen=True)
-class NeckAngles:
-    """Angles phi_1..phi_m and invariant A of the family member (alpha, a)."""
-
-    phis: np.ndarray
-    A: float
-    alpha: float = field(default=0.0, kw_only=True)
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.phis))
-
-
-LawlorAngles = NeckAngles
-
-
 class NeckFamily:
     """The member (alpha, a), alpha >= 0, of the neck family, caching its
     angles, invariant, and radial profiles.  `cutoff` is where its
@@ -149,7 +125,9 @@ class NeckFamily:
         return float(_log_P(self.alpha, self.a, x))
 
     def P(self, x: float) -> float:
-        return _P(self.alpha, self.a, x)
+        """P(x); inf where it overflows a float."""
+        log_p = self.log_P(x)
+        return math.exp(log_p) if log_p < 709.0 else math.inf
 
     def inv_sqrt_P(self, x: float) -> float:
         return math.exp(-0.5 * self.log_P(x))
@@ -283,9 +261,6 @@ class NeckFamily:
         _, z, dz = self._tangent_columns(y, x_unit, self.psi(y))
         return z * x_unit, dz * x_unit
 
-    def angles(self) -> NeckAngles:
-        return NeckAngles(self.phis.copy(), self.A, alpha=self.alpha)
-
     def tilde(self) -> "RotatedNeck":
         """The rotated member diag(e^{i phi_k}) . L with the end roles swapped:
         angles pi - phi, summing to (m-1) pi at alpha = 0 and into
@@ -330,31 +305,6 @@ class RotatedNeck:
         theta = sample.theta - (self.base.angle_sum - np.pi)
         potential = sample.potential - self.base.A
         return LagrangianSample(rot * sample.point, frame, theta, potential)
-
-
-def lawlor_angles(a) -> NeckAngles:
-    """Angles and area invariant of the neck with coefficients a."""
-    return LawlorNeck(a).angles()
-
-
-def lawlor_profile(a, y: float):
-    """Profile (z_k(y), psi_k(y)) of the neck with coefficients a."""
-    return LawlorNeck(a).profile(y)
-
-
-def lawlor_point(a, y: float, x_unit) -> LagrangianSample:
-    """Pointwise sample of the neck (see NeckFamily.point)."""
-    return LawlorNeck(a).point(y, x_unit)
-
-
-def lawlor_invariant_A(a) -> float:
-    """Potential-limit evaluation of the invariant A(L)."""
-    return LawlorNeck(a).invariant_from_potential_limits()
-
-
-def lawlor_tilde(a) -> RotatedNeck:
-    """Rotated variant with angle sum (m-1) pi and invariant -A."""
-    return LawlorNeck(a).tilde()
 
 
 def _target_angles(target_phis) -> np.ndarray:

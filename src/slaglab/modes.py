@@ -521,15 +521,6 @@ def solve_separation_radial(m: int, k: int, alpha: float,
                              constant=separation_constant(m))
 
 
-def check_log_derivative_bound(solution: RadialSolution, t_grid, slack: float = 1e-9) -> bool:
-    """0 <= A'/A <= (K - c0)/(2 alpha) at every grid point, within the given
-    slack.  Raises ValueError when the threshold condition K > c0 fails."""
-    bound = solution.log_derivative_bound()
-    t_grid = np.asarray(t_grid, dtype=float)
-    ld = solution.values(t_grid, deriv=True) / solution.values(t_grid)
-    return bool(np.all((ld >= -slack) & (ld <= bound + slack)))
-
-
 # ---------------------------------------------------------------------------
 # mode assembly
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from slaglab import (
     LagrangianPlane,
     LawlorNeck,
     build_complex,
-    check_log_derivative_bound,
     degree_window_check,
     expected_sphere_cohomology,
     harmonic_basis,
@@ -27,8 +26,8 @@ from slaglab import (
     solve_separation_radial,
     taylor_c1,
 )
+from slaglab import checks
 from slaglab.errors import DifferentialError, NewtonError, NonTransverseError
-from slaglab.expanders import jlt_angles
 from slaglab.floer import Generator
 from slaglab.geometry import characteristic_angles, random_unitary
 from slaglab.graphs import linearized_expander_residual
@@ -274,8 +273,9 @@ def test_criterion_07_singular_ode():
                         b > a for a, b in zip(values, values[1:])
                     )
                     monotone_ok = monotone_ok and min(values) >= 1.0 - 1e-9
-                    bound_ok = bound_ok and check_log_derivative_bound(
-                        solution, grid, slack=1e-9
+                    _, residuals = checks.radial(solution, grid)
+                    bound_ok = bound_ok and checks.passed(
+                        [r for r in residuals if r[1] == "log_derivative_slack"]
                     )
     _report(
         7, "singular radial hierarchy",
@@ -406,7 +406,7 @@ def test_criterion_11_floer_golden_values():
 
 def test_criterion_12_limit_continuity():
     a = [1.0, 2.0, 3.0]
-    jlt = jlt_angles(1e-3, a)
+    jlt = JLTExpander(1e-3, a)
     lawlor = LawlorNeck(a)
     worst = float(np.max(np.abs(jlt.phis - lawlor.phis)))
     _report(

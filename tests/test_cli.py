@@ -157,6 +157,27 @@ def test_csv_rejected_for_non_tabular_command():
     assert proc.returncode == 2
 
 
+def test_csv_rejected_before_numerical_work(monkeypatch, capsys):
+    from slaglab import cli, plumbing
+
+    def chart(*args, **kwargs):
+        raise AssertionError("the chart was built before the format check")
+
+    monkeypatch.setattr(plumbing, "PlumbingChart", chart)
+    assert cli.main(["plumbing", "--phi", "0.9,1.1,1.14", "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: csv format is only available for tabular commands\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_samples_must_be_at_least_one(samples):
+    for argv in (["lawlor", "--a", "1,2,3"], ["expander", "--alpha", "1", "--a", "1,1,1"]):
+        proc = run_cli(*argv, "--samples", samples)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--samples" in proc.stderr
+
+
 def test_plumbing_checks():
     proc = run_cli("plumbing", "--phi", "0.9,1.1,1.14", "--points", "10")
     assert proc.returncode == 0, proc.stderr

@@ -7,30 +7,22 @@ import numpy as np
 import pytest
 
 from slaglab.errors import GradingError
-from slaglab.expanders import (
-    JLTExpander,
-    jlt_P,
-    jlt_angles,
-    jlt_expander_residual,
-    jlt_invariant_A,
-    jlt_invert,
-    jlt_point,
-    jlt_tilde,
-)
+from slaglab.expanders import JLTExpander, jlt_invert
 from slaglab.geometry import liouville_form
-from slaglab.lawlor import LawlorNeck, lawlor_P
+from slaglab.lawlor import LawlorNeck, NeckFamily
 
 from oracles import angle_integrand, integrate_segment, tanh_sinh_real_line
 
 
 def test_P_at_zero():
-    assert jlt_P(1.0, [1.0, 1.0, 1.0], 0.0) == pytest.approx(4.0, abs=1e-15)
+    assert JLTExpander(1.0, [1.0, 1.0, 1.0]).P(0.0) == pytest.approx(4.0, abs=1e-15)
 
 
 def test_P_reduces_to_lawlor_at_alpha_zero():
     a = [1.0, 2.0, 3.0]
+    family, neck = NeckFamily(0.0, a), LawlorNeck(a)
     for x in (0.3, 1.0, 2.5):
-        assert jlt_P(0.0, a, x) == pytest.approx(lawlor_P(a, x), rel=1e-14)
+        assert family.P(x) == pytest.approx(neck.P(x), rel=1e-14)
 
 
 def test_P_against_high_precision_oracle():
@@ -38,18 +30,19 @@ def test_P_against_high_precision_oracle():
     alpha, a, x = 1.0, [1.0, 2.0, 3.0], 2.0
     oracle = (mp.e ** (alpha * x * x) * mp.fprod(
         [1 + ak * x * x for ak in a]) - 1) / (x * x)
-    assert jlt_P(alpha, a, x) == pytest.approx(float(oracle), rel=1e-10)
+    assert JLTExpander(alpha, a).P(x) == pytest.approx(float(oracle), rel=1e-10)
 
 
 def test_P_large_argument_no_overflow():
-    value = jlt_P(2.0, [1.0, 1.0, 1.0], 40.0)
+    expander = JLTExpander(2.0, [1.0, 1.0, 1.0])
+    value = expander.P(40.0)
     assert math.isinf(value) or value > 1e300  # log-space guard keeps it finite
-    assert jlt_P(2.0, [1.0, 1.0, 1.0], 18.0) > 0.0
+    assert expander.P(18.0) > 0.0
 
 
 def test_symmetric_angles_equal():
-    angles = jlt_angles(1.0, [2.0, 2.0, 2.0])
-    assert np.max(angles.phis) - np.min(angles.phis) < 1e-11
+    expander = JLTExpander(1.0, [2.0, 2.0, 2.0])
+    assert np.max(expander.phis) - np.min(expander.phis) < 1e-11
 
 
 def test_angle_sum_below_pi():
@@ -58,9 +51,9 @@ def test_angle_sum_below_pi():
         m = int(rng.integers(3, 6))
         alpha = float(rng.uniform(0.3, 2.5))
         a = rng.uniform(0.1, 8.0, size=m)
-        angles = jlt_angles(alpha, a)
-        assert 0.0 < angles.total < math.pi
-        assert np.all(angles.phis > 0) and np.all(angles.phis < math.pi)
+        expander = JLTExpander(alpha, a)
+        assert 0.0 < expander.angle_sum < math.pi
+        assert np.all(expander.phis > 0) and np.all(expander.phis < math.pi)
 
 
 def test_angles_against_tanh_sinh_oracle():
@@ -112,7 +105,7 @@ def test_point_phase_matches_frame_phase():
 
 
 def test_expander_identity_residual_symmetric():
-    assert jlt_expander_residual(1.0, [1.0, 1.0, 1.0], 0.0) < 1e-8
+    assert JLTExpander(1.0, [1.0, 1.0, 1.0]).expander_identity_residual(0.0) < 1e-8
 
 
 def test_expander_identity_residual_random_families():
@@ -170,7 +163,8 @@ def test_invariant_limit_agrees_with_closed_form():
     for _ in range(5):
         alpha = float(rng.uniform(0.4, 2.5))
         a = rng.uniform(0.2, 6.0, size=3)
-        closed, limit = jlt_invariant_A(alpha, a)
+        expander = JLTExpander(alpha, a)
+        closed, limit = expander.A, expander.invariant_from_potential_limits()
         assert closed == pytest.approx(limit, abs=1e-7)
         assert closed > 0
 
@@ -189,7 +183,7 @@ def test_potential_differential_is_four_lambda():
 
 def test_tilde_invariant_formula():
     expander = JLTExpander(1.0, [1.0, 2.0, 3.0])
-    tilde = jlt_tilde(1.0, [1.0, 2.0, 3.0])
+    tilde = expander.tilde()
     m = expander.m
     expected = 2.0 * ((m - 1) * math.pi - tilde.angle_sum) / expander.alpha
     assert tilde.invariant == pytest.approx(expected, rel=1e-12)
@@ -258,7 +252,7 @@ def test_alpha_zero_rejected():
 
 def test_alpha_to_zero_continuity():
     a = [1.0, 2.0, 3.0]
-    jlt = jlt_angles(1e-3, a)
+    jlt = JLTExpander(1e-3, a)
     lawlor = LawlorNeck(a)
     assert np.max(np.abs(jlt.phis - lawlor.phis)) < 1e-2
 
@@ -303,5 +297,5 @@ def test_decay_rate_toward_the_cone():
 
 
 def test_jlt_point_function():
-    sample = jlt_point(1.0, [1.0, 1.0, 1.0], 0.0, np.array([1.0, 0.0, 0.0]))
+    sample = JLTExpander(1.0, [1.0, 1.0, 1.0]).point(0.0, np.array([1.0, 0.0, 0.0]))
     assert sample.omega_residual() < 1e-10

@@ -8,17 +8,7 @@ import numpy as np
 import pytest
 
 from slaglab.errors import GradingError
-from slaglab.lawlor import (
-    LawlorNeck,
-    lawlor_P,
-    lawlor_angles,
-    lawlor_invariant_A,
-    lawlor_invert,
-    lawlor_point,
-    lawlor_profile,
-    lawlor_tilde,
-    oriented_sphere_basis,
-)
+from slaglab.lawlor import LawlorNeck, lawlor_invert, oriented_sphere_basis
 
 from oracles import (
     angle_integrand,
@@ -29,12 +19,12 @@ from oracles import (
 
 
 def test_P_removable_singularity():
-    assert lawlor_P([1.0, 1.0, 1.0], 0.0) == pytest.approx(3.0, abs=1e-15)
+    assert LawlorNeck([1.0, 1.0, 1.0]).P(0.0) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_P_polynomial_value():
     # (1+1)(1+1)(1+1) - 1 = 7 at x = 1
-    assert lawlor_P([1.0, 1.0, 1.0], 1.0) == pytest.approx(7.0, rel=1e-14)
+    assert LawlorNeck([1.0, 1.0, 1.0]).P(1.0) == pytest.approx(7.0, rel=1e-14)
 
 
 def test_P_against_expanded_polynomial():
@@ -45,25 +35,26 @@ def test_P_against_expanded_polynomial():
         if abs(x) < 1e-3:
             continue
         poly = np.prod([1.0 + ak * x * x for ak in a]) - 1.0
-        assert lawlor_P(a, x) == pytest.approx(poly / x**2, rel=1e-12)
+        assert LawlorNeck(a).P(x) == pytest.approx(poly / x**2, rel=1e-12)
 
 
 def test_P_leading_growth():
     a = np.array([0.5, 2.0, 1.5])
     x = 1e4
     leading = np.prod(a) * x ** (2 * len(a) - 2)
-    assert lawlor_P(a, x) == pytest.approx(leading, rel=1e-6)
+    assert LawlorNeck(a).P(x) == pytest.approx(leading, rel=1e-6)
 
 
 def test_P_is_inf_where_x_squared_overflows():
+    neck = LawlorNeck([1.0, 2.0, 3.0])
     for x in (1e100, 1e160, -1e200):
-        assert lawlor_P([1.0, 2.0, 3.0], x) == math.inf
+        assert neck.P(x) == math.inf
 
 
 def test_symmetric_angles():
-    angles = lawlor_angles([1.0, 1.0, 1.0])
-    np.testing.assert_allclose(angles.phis, np.pi / 3, atol=1e-11)
-    assert angles.A > 0
+    neck = LawlorNeck([1.0, 1.0, 1.0])
+    np.testing.assert_allclose(neck.phis, np.pi / 3, atol=1e-11)
+    assert neck.A > 0
 
 
 def test_angle_sum_is_pi():
@@ -71,9 +62,9 @@ def test_angle_sum_is_pi():
     for _ in range(10):
         m = int(rng.integers(3, 6))
         a = rng.uniform(0.1, 10.0, size=m)
-        angles = lawlor_angles(a)
-        assert abs(angles.total - math.pi) < 1e-8
-        assert np.all(angles.phis > 0) and np.all(angles.phis < math.pi)
+        neck = LawlorNeck(a)
+        assert abs(neck.angle_sum - math.pi) < 1e-8
+        assert np.all(neck.phis > 0) and np.all(neck.phis < math.pi)
 
 
 def test_angles_against_tanh_sinh_oracle():
@@ -93,7 +84,7 @@ def test_profile_half_angle_at_zero():
 
 
 def test_profile_flat_end_asymptote():
-    z, _ = lawlor_profile([1.0, 2.0, 3.0], -60.0)
+    z, _ = LawlorNeck([1.0, 2.0, 3.0]).profile(-60.0)
     assert np.max(np.abs(np.angle(z))) < 1e-3
 
 
@@ -119,7 +110,7 @@ def test_profile_against_cumulative_oracle():
 
 
 def test_point_symmetric_axis():
-    sample = lawlor_point([1.0, 1.0, 1.0], 0.0, np.array([1.0, 0.0, 0.0]))
+    sample = LawlorNeck([1.0, 1.0, 1.0]).point(0.0, np.array([1.0, 0.0, 0.0]))
     assert abs(sample.point[0]) == pytest.approx(1.0, abs=1e-12)
     assert np.angle(sample.point[0]) == pytest.approx(np.pi / 6, abs=1e-11)
     assert sample.point[1] == 0 and sample.point[2] == 0
@@ -166,7 +157,7 @@ def test_invariant_matches_angle_normalization():
 def test_invariant_against_oracle():
     neck = LawlorNeck([1.0, 2.0, 3.0])
     oracle = tanh_sinh_real_line(area_integrand(neck), neck.cutoff, order=240)
-    assert lawlor_invariant_A([1.0, 2.0, 3.0]) == pytest.approx(oracle, abs=1e-9)
+    assert neck.invariant_from_potential_limits() == pytest.approx(oracle, abs=1e-9)
 
 
 def test_tilde_angles_and_invariant():
@@ -179,7 +170,7 @@ def test_tilde_angles_and_invariant():
 
 def test_tilde_pointwise_rotation():
     neck = LawlorNeck([1.0, 2.0, 3.0])
-    tilde = lawlor_tilde([1.0, 2.0, 3.0])
+    tilde = neck.tilde()
     rng = np.random.default_rng(3)
     rotation = np.exp(1j * (np.pi - neck.phis))
     for _ in range(100):
@@ -193,7 +184,7 @@ def test_tilde_pointwise_rotation():
 
 
 def test_tilde_stays_special_lagrangian():
-    tilde = lawlor_tilde([1.0, 1.0, 2.5])
+    tilde = LawlorNeck([1.0, 1.0, 2.5]).tilde()
     sample = tilde.point(0.7, np.array([0.6, 0.8, 0.0]))
     vol = np.linalg.det(sample.frame.vectors)
     assert abs(np.imag(vol)) < 1e-8
@@ -227,8 +218,8 @@ def test_parameter_map_injective_on_samples():
     seen = []
     for _ in range(8):
         a = rng.uniform(0.2, 5.0, size=3)
-        angles = lawlor_angles(a)
-        seen.append((a, np.concatenate([angles.phis, [angles.A]])))
+        neck = LawlorNeck(a)
+        seen.append((a, np.concatenate([neck.phis, [neck.A]])))
     for i in range(len(seen)):
         for j in range(i + 1, len(seen)):
             if np.max(np.abs(seen[i][0] - seen[j][0])) > 1e-3:

@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from slaglab import checks
 from slaglab.graphs import linearized_expander_residual
 from slaglab.modes import (
     ExpansionMode,
     solve_separation_radial,
     assemble_expansion,
-    check_log_derivative_bound,
     expansion_field,
     harmonic_basis,
     harmonic_dimension,
@@ -207,7 +207,9 @@ def test_increasing_range_when_eigenvalue_large():
 def test_log_derivative_bound_holds():
     solution = solve_radial_mode(3, 5, 1.0)
     grid = np.linspace(0.0, 2.0, 100)
-    assert check_log_derivative_bound(solution, grid, slack=1e-9)
+    _, residuals = checks.radial(solution, grid)
+    bound = [r for r in residuals if r[1] == "log_derivative_slack"]
+    assert bound and checks.passed(bound)
 
 
 def test_log_derivative_bound_attained_at_zero():
@@ -220,7 +222,17 @@ def test_log_derivative_bound_attained_at_zero():
 def test_log_derivative_bound_precondition():
     solution = solve_radial_mode(3, 1, 1.0)
     with pytest.raises(ValueError):
-        check_log_derivative_bound(solution, [0.1, 0.5])
+        solution.log_derivative_bound()
+
+
+def test_radial_check_uses_the_solution_constant():
+    # K = 20 is above the default constant 3 (m + 1) = 12 but not above the
+    # separation constant 4 (m + 2) = 20, so no log-derivative bound applies
+    solution = solve_separation_radial(3, 4, 1.0)
+    values, residuals = checks.radial(solution, np.linspace(0.01, 2.0, 50))
+    assert "logDerivativeBound" not in values
+    assert [key for _, key in residuals] == ["ode_overlap"]
+    assert checks.passed(residuals)
 
 
 # ---------------------------------------------------------------------------
