@@ -2,9 +2,11 @@
 
 Adding a Gaussian factor e^{alpha x^2} to the Lawlor polynomial turns the
 special-Lagrangian neck into a mean-curvature-flow expander H = alpha F_perp.
-The angles now sum below pi, the angle function theta runs from 0 to
-sum(phi) - pi, the potential is f = -2 theta / alpha, and the invariant is
-A = 2 (pi - sum phi)/alpha, recovered here from the phase limits.
+The angles now sum below pi and the angle function theta runs from 0 to
+sum(phi) - pi.  The potential is the Lawlor one, f = Int dx / (2 sqrt(P)) with
+df = lambda|_L, and the soliton identity integrates to theta = -2 alpha f.  So
+the invariant A, the area integral, equals the closed form
+(pi - sum phi)/(2 alpha), and is recovered here from the potential limits.
 """
 
 import numpy as np
@@ -20,7 +22,8 @@ expander = JLTExpander(alpha, a)
 print(f"alpha                  : {expander.alpha}")
 print(f"angles                 : {expander.phis}")
 print(f"angle sum (< pi)       : {expander.angle_sum:.10f}")
-print(f"A (closed form)        : {expander.A:.10f}")
+print(f"A (area integral)      : {expander.A:.10f}")
+print(f"A (closed form)        : {(np.pi - expander.angle_sum) / (2 * alpha):.10f}")
 print(f"A (potential limits)   : {expander.invariant_from_potential_limits():.10f}")
 
 y_far = 0.9 * expander.cutoff

@@ -50,8 +50,8 @@ print("\ndegree windows:")
 sl_pair = GradedPointPair(0.0, 0.0)
 print(f"  special-Lagrangian pair, mu = 2, m = 3: {degree_window_check(sl_pair, 2, 0.0, 3)}")
 print(f"  special-Lagrangian pair, mu = 0, m = 3: {degree_window_check(sl_pair, 0, 0.0, 3)}")
-exp_pair = GradedPointPair(0.0, -np.pi / 2, 0.0, np.pi)
-print(f"  expander pair (alpha = 1, f' - f = pi), mu = 1: "
+exp_pair = GradedPointPair(0.0, -np.pi / 2, 0.0, np.pi / 4)
+print(f"  expander pair (alpha = 1, f' - f = pi/4), mu = 1: "
       f"{degree_window_check(exp_pair, 1, 1.0, 3)}")
 
 print("\nstrip areas from potentials:")

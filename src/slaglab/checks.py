@@ -78,23 +78,29 @@ def lawlor(neck, samples: int, rng):
 
 
 def expander(family, samples: int, rng):
-    """A JLT expander: the soliton identity and omega|_L = 0 at `samples`
-    random points, the grading's limits 0 and sum(phi) - pi near the ends,
-    and A equal to the potential's end-to-end difference."""
+    """A JLT expander at `samples` random points: omega|_L = 0 and the soliton
+    identity, as d theta = -2 alpha lambda|_L and as theta = -2 alpha f; the
+    grading's limits 0 and sum(phi) - pi near the ends; and A equal to the
+    potential's end-to-end difference and to (pi - sum phi)/(2 alpha)."""
     omega = identity = 0.0
     for y, x in _profile_samples(family.m, samples, rng, 3.0):
-        omega = max(omega, family.point(y, x).omega_residual())
-        identity = max(identity, family.expander_identity_residual(y, x))
+        point = family.point(y, x)
+        omega = max(omega, point.omega_residual())
+        identity = max(identity, family.expander_identity_residual(y, x),
+                       abs(point.theta + 2.0 * family.alpha * point.potential))
     y_far = 0.9 * family.cutoff
     theta = [family.theta(-y_far), family.theta(y_far)]
     a_limit = family.invariant_from_potential_limits()
+    a_closed = (math.pi - family.angle_sum) / (2.0 * family.alpha)
     values = {"expanderResidualMax": identity, "omegaMax": omega,
-              "thetaLimits": theta, "A_potentialLimit": a_limit}
+              "thetaLimits": theta, "A_potentialLimit": a_limit,
+              "A_closedForm": a_closed}
     theta_defect = max(abs(theta[0]), abs(theta[1] - (family.angle_sum - math.pi)))
     return values, [
         (identity, "expander_identity"),
         (theta_defect, "expander_identity"),
         (abs(a_limit - family.A), "invariant_match_jlt"),
+        (abs(a_closed - family.A), "invariant_match_jlt"),
         (omega, "sl_residual"),
     ]
 

@@ -164,7 +164,6 @@ def cmd_expander(args) -> int:
             "alpha": expander.alpha,
             "phi": list(expander.phis),
             "sumPhi": expander.angle_sum,
-            "A_closedForm": expander.A,
             "samples": args.samples,
         }
     )

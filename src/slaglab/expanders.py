@@ -18,17 +18,18 @@ which tends to 0 on the flat end (y -> -inf) and to sum(phi) - pi on the
 rotated end (y -> +inf); the arg term stays in (-pi, 0), so its principal
 branch already is the continuous lift pinned at the flat end.
 
-Grading and potential are proportional for expanders.  We normalize the
-potential as f = -2 theta / alpha, the unique primitive vanishing on the flat
-end; with the ambient Liouville form lambda = -1/2 Im sum z_j dzbar_j this
-normalization satisfies df = 4 lambda|_L, and the soliton identity reads
+Grading and potential are proportional for expanders.  The potential is the
+one of every family member, f(y) = Int_{-inf}^y dx / (2 sqrt(P)), the
+primitive of lambda|_L vanishing on the flat end, with the ambient Liouville
+form lambda = -1/2 Im sum z_j dzbar_j.  The soliton identity reads
 
-    d theta = -2 alpha lambda|_L        (equivalently d theta = -(alpha/2) df).
+    d theta = -2 alpha lambda|_L,   integrated: theta = -2 alpha f.
 
-`expander_identity_residual` checks it pointwise, pairing the closed-form
-derivative of theta against the Liouville form evaluated on the numerically
-assembled tangent vector.  The invariant is A = 2 (pi - sum phi)/alpha > 0,
-which `invariant_from_potential_limits` recovers from the phase limits.
+`expander_identity_residual` checks the first form pointwise, pairing the
+closed-form derivative of theta against the Liouville form evaluated on the
+numerically assembled tangent vector.  At the ends the second gives the
+closed form A = (pi - sum phi)/(2 alpha) > 0 of the invariant, the area
+integral; it loses digits as alpha -> 0, where pi - sum phi cancels.
 
 For fixed alpha > 0 the angle map a -> phi is a diffeomorphism onto
 {phi in (0,pi)^m : 0 < sum phi < pi}; `jlt_invert` inverts it by damped
@@ -51,8 +52,8 @@ _FAULT_ENV = "SLAG_FAULT_DTHETA"
 
 
 class JLTExpander(NeckFamily):
-    """A single expander: the family member at alpha > 0, whose invariant is
-    the closed form A = 2 (pi - sum phi)/alpha."""
+    """A single expander: the family member at alpha > 0, whose invariant
+    equals the closed form A = (pi - sum phi)/(2 alpha)."""
 
     def __init__(self, alpha: float, a):
         if not alpha > 0.0:
@@ -63,10 +64,9 @@ class JLTExpander(NeckFamily):
         self._fault_bias = float(os.environ.get(_FAULT_ENV) or 0.0)
         if not self.angle_sum < np.pi:
             raise GradingError("angle sum came out >= pi; invalid parameters")
-        self.A = 2.0 * (np.pi - self.angle_sum) / self.alpha
 
     def expander_identity_residual(self, y: float, x_unit=None) -> float:
-        """|d theta/dy + 2 alpha lambda(d/dy)| = |d theta/dy + (alpha/2) df/dy|.
+        """|d theta/dy + 2 alpha lambda(d/dy)| = |d theta/dy + 2 alpha df/dy|.
 
         d theta/dy is the closed-form angle derivative; lambda is evaluated
         geometrically on the assembled tangent vector, so the residual

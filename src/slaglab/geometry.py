@@ -300,12 +300,12 @@ def degree_window_check(pair: GradedPointPair, mu: int, alpha: float, m: int) ->
     """Strict degree windows for special-Lagrangian and expander pairs.
 
     alpha == 0: both phases are treated as zero (special Lagrangian pair) and
-    the check is 0 < mu < m.  alpha > 0: potentials must satisfy the expander
-    normalization f = -2 theta / alpha within 1e-6, and the check is
+    the check is 0 < mu < m.  alpha > 0: potentials must satisfy the soliton
+    identity f = -theta / (2 alpha) within 1e-6, and the check is
 
-        alpha/(2 pi) (f_L' - f_L)  <  mu  <  alpha/(2 pi) (f_L' - f_L) + m,
+        (2 alpha/pi) (f_L' - f_L)  <  mu  <  (2 alpha/pi) (f_L' - f_L) + m,
 
-    both inequalities strict.
+    both inequalities strict: the window (theta_L - theta_L')/pi of mu.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
@@ -315,13 +315,13 @@ def degree_window_check(pair: GradedPointPair, mu: int, alpha: float, m: int) ->
         (pair.theta_l, pair.f_l, "L"),
         (pair.theta_lp, pair.f_lp, "L'"),
     ):
-        expected = -2.0 * theta / alpha
+        expected = -theta / (2.0 * alpha)
         if abs(f - expected) > POTENTIAL_CONSISTENCY_TOL * max(1.0, abs(f)):
             raise GradingError(
-                f"potential of {label} violates f = -2 theta/alpha: "
-                f"f = {f:.9g}, -2 theta/alpha = {expected:.9g}"
+                f"potential of {label} violates f = -theta/(2 alpha): "
+                f"f = {f:.9g}, -theta/(2 alpha) = {expected:.9g}"
             )
-    lower = alpha / (2.0 * np.pi) * (pair.f_lp - pair.f_l)
+    lower = 2.0 * alpha / np.pi * (pair.f_lp - pair.f_l)
     return lower < mu < lower + m
 
 

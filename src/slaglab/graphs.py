@@ -281,16 +281,14 @@ def linearized_expander_residual(field: ScalarField, alpha: float, x) -> float:
     return float(laplacian + alpha * (float(x @ grad) - 2.0 * value))
 
 
-def inversion_transform(field: ScalarField, m: int, direction: str = "forward") -> ScalarField:
+def inversion_transform(field: ScalarField, m: int) -> ScalarField:
     """Conjugate a field by the inversion x -> x/|x|^2 with weight |.|^{2-m}.
 
-    forward: a field f on an outer annulus becomes F(y) = s^{2-m} f(y/s^2)
-    on a punctured ball; backward is the same formula read the other way.
-    The composition of the two directions is the identity on sample points.
-    Evaluation at the origin is undefined and raises ValueError.
+    A field f on an outer annulus becomes F(y) = s^{2-m} f(y/s^2) on a
+    punctured ball, and the same formula takes F back to f: the transform is
+    an involution on sample points.  Evaluation at the origin is undefined
+    and raises ValueError.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
     if field.dim != m:
         raise DimensionMismatchError("field dimension != m")
 
@@ -308,7 +306,7 @@ def inversion_transform(field: ScalarField, m: int, direction: str = "forward") 
 def inversion_laplacian_pair(field_ball: ScalarField, m: int, y) -> tuple[float, float]:
     """Both sides of the inversion Laplacian identity at y != 0.
 
-    With F = field_ball on the punctured ball and f its backward transform
+    With F = field_ball on the punctured ball and f its inversion transform
     f(x) = r^{2-m} F(x/r^2) on the outer annulus:
 
         lhs = sum_i d^2 f/dx_i^2 evaluated at x = y/s^2   (finite differences),
@@ -318,7 +316,7 @@ def inversion_laplacian_pair(field_ball: ScalarField, m: int, y) -> tuple[float,
     s2 = float(y @ y)
     if s2 == 0.0:
         raise ValueError("identity is undefined at the origin")
-    field_outer = inversion_transform(field_ball, m, "backward")
+    field_outer = inversion_transform(field_ball, m)
     lhs = field_outer.laplacian(y / s2)
     rhs = s2 ** (0.5 * (m + 2)) * field_ball.laplacian(y)
     return float(lhs), float(rhs)

@@ -19,12 +19,12 @@ member (alpha, a) of the family, `NeckFamily`, is
 a Lagrangian diffeomorphic to S^{m-1} x R, asymptotic to the plane pair R^m
 and diag(e^{i phi_k}) R^m, and graded by theta(y) = sum_k psi_k(y) +
 arg(-y - i P(y)^{-1/2}).  The members at alpha > 0 are the Joyce-Lee-Tsui
-expanders of `expanders`.
+expanders of `expanders`.  On every member the Liouville form restricts to
+dy / (2 sqrt(P(y))), so the potential vanishing on the flat end, f(y) =
+Int_{-inf}^y dx / (2 sqrt(P)), has df = lambda|_L and rises by A.
 
 A Lawlor neck is the member at alpha = 0: the angles sum exactly to pi
 (substitute w = sqrt(x^2 P)), theta vanishes, and L is special Lagrangian.
-The Liouville form restricts to dy / (2 sqrt(P(y))), so the potential
-vanishing on the flat end, f(y) = Int_{-inf}^y dx / (2 sqrt(P)), rises by A.
 
 The correspondence a -> (phi, A) is a bijection onto {phi in (0,pi)^m,
 sum phi = pi, A > 0}; `lawlor_invert` realizes the inverse by damped Newton
@@ -200,18 +200,9 @@ class NeckFamily:
         return value
 
     def potential(self, y: float) -> float:
-        """Potential f(y), increasing at alpha = 0, with f(-inf) = 0."""
-        partial = self._integrate(-math.inf, y)
-        return self._potential(self._theta(y, partial[:-1]), partial[-1])
-
-    def _potential(self, theta: float, area: float) -> float:
-        # The members normalize the potential differently; which convention
-        # both should share is open, and either choice changes reported values.
-        # At alpha = 0, f = Int_{-inf}^y dx/(2 sqrt(P)) is the primitive of
-        # lambda|_L; at alpha > 0, f = -2 theta/alpha is that of 4 lambda|_L.
-        if self.alpha == 0.0:
-            return float(area)
-        return -2.0 * theta / self.alpha
+        """Potential f(y) = Int_{-inf}^y dx / (2 sqrt(P)), the primitive of
+        lambda|_L vanishing on the flat end; increasing from 0 to A."""
+        return float(self._integrate(-math.inf, y)[-1])
 
     def invariant_from_potential_limits(self, y_limit: float | None = None) -> float:
         """A(L) = lim f(+inf) - lim f(-inf), from the potential at +-y_limit
@@ -240,24 +231,28 @@ class NeckFamily:
         cols[:, 1:] = z[:, None] * oriented_sphere_basis(x_unit)
         return cols, z, dz
 
-    def point(self, y: float, x_unit) -> LagrangianSample:
-        """Ambient point, orthonormal tangent frame, grading, and potential."""
+    def _direction(self, x_unit) -> np.ndarray:
+        """x_unit as a flat array, checked to be a unit vector of R^m."""
         x_unit = np.asarray(x_unit, dtype=float).reshape(-1)
         if x_unit.shape[0] != self.m:
             raise DimensionMismatchError("direction vector has wrong length")
         if abs(float(np.linalg.norm(x_unit)) - 1.0) > 1e-12:
             raise ValueError("direction vector must be a unit vector")
+        return x_unit
+
+    def point(self, y: float, x_unit) -> LagrangianSample:
+        """Ambient point, orthonormal tangent frame, grading, and potential."""
+        x_unit = self._direction(x_unit)
         partial = self._integrate(-math.inf, y)
         psis = partial[:-1]
         cols, z, _ = self._tangent_columns(y, x_unit, psis)
         frame = TangentFrame(z * x_unit, cols).orthonormalized()
-        theta = self._theta(y, psis)
-        return LagrangianSample(z * x_unit, frame, theta,
-                                self._potential(theta, partial[-1]))
+        return LagrangianSample(z * x_unit, frame, self._theta(y, psis),
+                                float(partial[-1]))
 
     def radial_tangent(self, y: float, x_unit):
         """Ambient point and (unnormalized) tangent vector along d/dy."""
-        x_unit = np.asarray(x_unit, dtype=float).reshape(-1)
+        x_unit = self._direction(x_unit)
         _, z, dz = self._tangent_columns(y, x_unit, self.psi(y))
         return z * x_unit, dz * x_unit
 

@@ -101,6 +101,7 @@ def test_criterion_03_invariant_consistency():
         )
         assert neck.A > 0 and neck.tilde().invariant == -neck.A
     worst_jlt = 0.0
+    worst_closed = 0.0
     positive = True
     tilde_negative = True
     for _ in range(20):
@@ -110,12 +111,16 @@ def test_criterion_03_invariant_consistency():
         worst_jlt = max(
             worst_jlt, abs(expander.invariant_from_potential_limits() - expander.A)
         )
+        closed = (math.pi - expander.angle_sum) / (2.0 * alpha)
+        worst_closed = max(worst_closed, abs(closed - expander.A))
         positive = positive and expander.A > 0
         tilde_negative = tilde_negative and expander.tilde().invariant < 0
     _report(
         3, "invariant consistency",
-        worst_lawlor < 1e-8 and worst_jlt < 1e-7 and positive and tilde_negative,
-        f"lawlor {worst_lawlor:.3e}, jlt {worst_jlt:.3e}",
+        worst_lawlor < 1e-8 and worst_jlt < 1e-7 and worst_closed < 1e-7
+        and positive and tilde_negative,
+        f"lawlor {worst_lawlor:.3e}, jlt {worst_jlt:.3e}, "
+        f"jlt closed form {worst_closed:.3e}",
     )
 
 
@@ -225,7 +230,7 @@ def test_criterion_06_maslov_calculus():
         mu = maslov_degree(angles, GradedPointPair(0.0, 0.0))
         sl_ok = sl_ok and degree_window_check(GradedPointPair(0.0, 0.0), mu, 0.0, m)
 
-    # synthetic expander pairs: potentials from the grading normalization
+    # synthetic expander pairs: potentials from theta = -2 alpha f
     exp_ok = True
     for _ in range(500):
         m = int(rng.integers(3, 6))
@@ -235,7 +240,7 @@ def test_criterion_06_maslov_calculus():
         theta_l = float(rng.uniform(-4, 4))
         theta_lp = theta_l + float(np.sum(phis)) - n * math.pi
         pair = GradedPointPair(
-            theta_l, theta_lp, -2.0 * theta_l / alpha, -2.0 * theta_lp / alpha
+            theta_l, theta_lp, -theta_l / (2.0 * alpha), -theta_lp / (2.0 * alpha)
         )
         mu = maslov_degree(AngleVector(np.sort(phis)), pair)
         exp_ok = exp_ok and degree_window_check(pair, mu, alpha, m)

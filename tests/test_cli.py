@@ -71,7 +71,7 @@ def test_expander_report():
         report["sumPhi"] - math.pi, abs=1e-7
     )
     assert report["A_closedForm"] == pytest.approx(
-        2 * (math.pi - report["sumPhi"]), rel=1e-12
+        (math.pi - report["sumPhi"]) / 2, rel=1e-12
     )
     assert report["A_potentialLimit"] == pytest.approx(
         report["A_closedForm"], abs=1e-7
@@ -83,7 +83,7 @@ def test_expander_alpha_two_closed_form():
     proc = run_cli("expander", "--alpha", "2", "--a", "1,1,1", "--samples", "5")
     report = json.loads(proc.stdout)
     assert report["A_closedForm"] == pytest.approx(
-        2 * (math.pi - report["sumPhi"]) / 2, rel=1e-12
+        (math.pi - report["sumPhi"]) / (2 * 2), rel=1e-12
     )
 
 

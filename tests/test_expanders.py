@@ -5,8 +5,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slaglab.errors import GradingError
+from slaglab.checks import TOLERANCES
+from slaglab.errors import DimensionMismatchError, GradingError
 from slaglab.expanders import JLTExpander, jlt_invert
 from slaglab.geometry import liouville_form
 from slaglab.lawlor import LawlorNeck, NeckFamily
@@ -91,7 +94,7 @@ def test_point_frame_lagrangian_and_potential():
         x /= np.linalg.norm(x)
         sample = expander.point(y, x)
         assert sample.omega_residual() < 1e-8
-        assert sample.potential == pytest.approx(-2.0 * sample.theta / 1.0, abs=1e-12)
+        assert sample.potential == pytest.approx(-sample.theta / (2.0 * 1.0), abs=1e-12)
 
 
 def test_point_phase_matches_frame_phase():
@@ -119,6 +122,16 @@ def test_expander_identity_residual_random_families():
             x = rng.standard_normal(3)
             x /= np.linalg.norm(x)
             assert expander.expander_identity_residual(y, x) < 1e-7
+
+
+@pytest.mark.parametrize("x_unit, error", [
+    ([1.0, 1.0, 1.0], ValueError),  # scales lambda: a false failure
+    ([1.0, 0.0], DimensionMismatchError),
+], ids=["non-unit", "wrong-length"])
+def test_identity_residual_rejects_bad_direction(x_unit, error):
+    expander = JLTExpander(1.0, [1.0, 2.0, 3.0])
+    with pytest.raises(error):
+        expander.expander_identity_residual(0.3, x_unit)
 
 
 def test_dtheta_matches_finite_difference_oracle():
@@ -151,9 +164,9 @@ def test_perturbed_curve_breaks_identity():
 
 
 def test_invariant_closed_form():
-    # alpha = 2, sum phi = pi/2 gives A = pi/2 by the closed form
+    # the area integral A equals the closed form (pi - sum phi)/(2 alpha)
     expander = JLTExpander(2.0, [1.0, 1.0, 1.0])
-    expected = 2.0 * (math.pi - expander.angle_sum) / 2.0
+    expected = (math.pi - expander.angle_sum) / (2.0 * 2.0)
     assert expander.A == pytest.approx(expected, rel=1e-14)
     assert expander.A > 0
 
@@ -164,13 +177,14 @@ def test_invariant_limit_agrees_with_closed_form():
         alpha = float(rng.uniform(0.4, 2.5))
         a = rng.uniform(0.2, 6.0, size=3)
         expander = JLTExpander(alpha, a)
-        closed, limit = expander.A, expander.invariant_from_potential_limits()
+        closed = (math.pi - expander.angle_sum) / (2.0 * alpha)
+        limit = expander.invariant_from_potential_limits()
         assert closed == pytest.approx(limit, abs=1e-7)
         assert closed > 0
 
 
-def test_potential_differential_is_four_lambda():
-    # df/dy = 4 lambda(d/dy) for the potential f = -2 theta / alpha
+def test_potential_differential_is_lambda():
+    # df/dy = lambda(d/dy) for the area potential f(y) = Int dx / (2 sqrt(P))
     expander = JLTExpander(0.9, [1.0, 2.0, 0.5])
     x_unit = np.array([0.0, 0.6, 0.8])
     h = 1e-6
@@ -178,24 +192,41 @@ def test_potential_differential_is_four_lambda():
         df = (expander.potential(y + h) - expander.potential(y - h)) / (2 * h)
         point, tangent = expander.radial_tangent(y, x_unit)
         lam = liouville_form(point, tangent)
-        assert df == pytest.approx(4.0 * lam, abs=1e-7)
+        assert df == pytest.approx(lam, abs=1e-7)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    log_a=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=6),
+    alpha=st.one_of(st.floats(1e-3, 20.0), st.just(0.0)),
+    y=st.floats(-6.0, 6.0),
+)
+def test_one_potential_identities(log_a, alpha, y):
+    """theta = -2 alpha f on every member, and at alpha > 0 the area
+    integral A equals the closed form (pi - sum phi)/(2 alpha)."""
+    family = NeckFamily(alpha, 10.0 ** np.array(log_a))
+    sample = family.point(y, np.full(family.m, 1.0 / math.sqrt(family.m)))
+    assert abs(sample.theta + 2.0 * alpha * sample.potential) <= 1e-9
+    if alpha > 0.0:
+        closed = (math.pi - family.angle_sum) / (2.0 * alpha)
+        assert abs(closed - family.A) < TOLERANCES["invariant_match_jlt"]
 
 
 def test_tilde_invariant_formula():
     expander = JLTExpander(1.0, [1.0, 2.0, 3.0])
     tilde = expander.tilde()
     m = expander.m
-    expected = 2.0 * ((m - 1) * math.pi - tilde.angle_sum) / expander.alpha
+    expected = ((m - 1) * math.pi - tilde.angle_sum) / (2.0 * expander.alpha)
     assert tilde.invariant == pytest.approx(expected, rel=1e-12)
     assert tilde.invariant < 0
     assert tilde.invariant == pytest.approx(-expander.A, rel=1e-12)
 
 
 def test_tilde_synthetic_invariant_value():
-    # angle sum (m-1) pi + pi/2 at alpha = 1 gives invariant -pi
+    # angle sum (m-1) pi + pi/2 at alpha = 1/4 gives invariant -pi
     m = 3
     tilde_sum = (m - 1) * math.pi + 0.5 * math.pi
-    assert 2.0 * ((m - 1) * math.pi - tilde_sum) / 1.0 == pytest.approx(-math.pi)
+    assert ((m - 1) * math.pi - tilde_sum) / (2.0 * 0.25) == pytest.approx(-math.pi)
 
 
 def test_tilde_pointwise_rotation():
@@ -258,11 +289,11 @@ def test_alpha_to_zero_continuity():
 
 
 def test_alpha_to_zero_invariant_limit():
-    # the expander potential -2 theta/alpha is the primitive of 4 lambda|_L,
-    # the Lawlor one of lambda|_L: A/4 must approach the Lawlor invariant
+    # every member's potential is the primitive of lambda|_L, so the
+    # expander invariant must approach the Lawlor invariant
     for a in ([1.0, 2.0, 3.0], [0.5, 1.0, 2.0, 4.0]):
         lawlor_A = LawlorNeck(a).A
-        gaps = [abs(JLTExpander(alpha, a).A / 4.0 - lawlor_A)
+        gaps = [abs(JLTExpander(alpha, a).A - lawlor_A)
                 for alpha in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
         assert np.all(np.diff(gaps) < 0.0)
         assert gaps[-1] < 1e-3

@@ -278,13 +278,13 @@ def test_degree_window_expander_strictness():
 
 
 def test_degree_window_expander_true_case():
-    # alpha = 1, f_L' - f_L = pi: window (1/2, 3 + 1/2) contains mu = 1
-    pair = GradedPointPair(0.0, -np.pi / 2, 0.0, np.pi)
+    # alpha = 1, f_L' - f_L = pi/4: window (1/2, 3 + 1/2) contains mu = 1
+    pair = GradedPointPair(0.0, -np.pi / 2, 0.0, np.pi / 4)
     assert degree_window_check(pair, 1, 1.0, 3)
 
 
 def test_degree_window_rejects_inconsistent_potentials():
-    pair = GradedPointPair(0.0, 1.0, 0.0, 5.0)  # f_L' != -2 theta_L'/alpha
+    pair = GradedPointPair(0.0, 1.0, 0.0, 5.0)  # f_L' != -theta_L'/(2 alpha)
     with pytest.raises(GradingError):
         degree_window_check(pair, 1, 1.0, 3)
 

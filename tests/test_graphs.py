@@ -118,7 +118,7 @@ def test_branch_cut_detection():
 def test_inversion_constant_becomes_power_law():
     m = 3
     const = polynomial_field({(0,) * m: 2.0}, m)
-    field = inversion_transform(const, m, "backward")
+    field = inversion_transform(const, m)
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = rng.normal(size=m)
@@ -130,9 +130,7 @@ def test_inversion_round_trip():
     rng = np.random.default_rng(6)
     m = 4
     field = _random_cubic(rng, m)
-    double = inversion_transform(
-        inversion_transform(field, m, "forward"), m, "backward"
-    )
+    double = inversion_transform(inversion_transform(field, m), m)
     for _ in range(100):
         x = rng.normal(size=m)
         if np.linalg.norm(x) < 0.1:
@@ -142,7 +140,7 @@ def test_inversion_round_trip():
 
 def test_inversion_rejects_origin():
     field = polynomial_field({(0, 0, 0): 1.0}, 3)
-    transformed = inversion_transform(field, 3, "forward")
+    transformed = inversion_transform(field, 3)
     with pytest.raises(ValueError):
         transformed.value(np.zeros(3))
 
@@ -201,7 +199,7 @@ def test_batched_stencils_match_scalar_stencils():
     m, _, _, expansion = _expansion_case()
     cubic = _random_cubic(rng, m)
     for field, radius in ((expansion, (2.0, 6.0)),
-                          (inversion_transform(cubic, m, "backward"), (0.8, 1.6))):
+                          (inversion_transform(cubic, m), (0.8, 1.6))):
         scalar = ScalarField(field.func, m, step_scale=field.step_scale)
         assert scalar.batch is None and field.batch is not None
         for _ in range(5):
@@ -247,7 +245,7 @@ def test_laplacian_and_jet_equal_hessian_trace_gradient_value():
     wide = _random_cubic(np.random.default_rng(11), 9)  # past numpy's pairwise-sum block
     cases = [
         (expansion, (2.0, 6.0)),
-        (inversion_transform(cubic, m, "backward"), (0.8, 1.6)),
+        (inversion_transform(cubic, m), (0.8, 1.6)),
         (ScalarField(cubic.func, m), (0.5, 2.0)),
         (ScalarField(wide.func, 9, batch=wide.batch), (0.5, 2.0)),
         (ScalarField(cubic.func, m, grad=cubic.grad, batch=cubic.batch), (0.5, 2.0)),
