@@ -1,10 +1,11 @@
 """Asymptotic modes of the linearized expander equation.
 
 Decaying solutions separate into spherical harmonics times radial factors
-A_k(t), t = r^{-2}, solving a singular ODE.  The Taylor series at t = 0 is
-asymptotic (factorially divergent) and is summed to its smallest term;
-Chebyshev-Lobatto collocation takes over beyond the handoff point, and the
-two representations agree to ~1e-15 on the overlap window.
+A_k(t), t = r^{-2}, solving a singular ODE.  The solution is Tricomi's
+confluent hypergeometric function, A(t) = z^a U(a, b, z) at z = alpha/(2t),
+evaluated from its integral form by the library's quadrature.  The Taylor
+series at t = 0 is asymptotic (factorially divergent); summed to its
+smallest term, it checks the closed form to ~1e-15 on a window near 0.
 """
 
 import numpy as np
@@ -26,10 +27,8 @@ solution = solve_radial_mode(m, k, alpha, t_max=2.0)
 print(f"radial hierarchy (m={m}, k={k}, alpha={alpha}):")
 print(f"  eigenvalue K = k(m+k-2)    : {solution.eigenvalue}")
 print(f"  c1 = A'(0)                 : {taylor_c1(m, k, alpha)}")
-print(f"  series/collocation handoff : t = {solution.t_switch}")
+print(f"  series-check window        : t in [{solution.t_switch / 10}, {solution.t_switch}]")
 print(f"  overlap disagreement       : {solution.overlap_disagreement():.2e}")
-print(f"  collocation panels         : {solution.panel_count}")
-print(f"  N/2N error estimate        : {solution.error_estimate:.2e}")
 print(f"  log-derivative bound       : {solution.log_derivative_bound()}")
 print("  t, A(t), A'(t)/A(t):")
 for t in (0.0, 0.25, 0.5, 1.0, 2.0):

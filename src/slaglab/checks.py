@@ -106,9 +106,9 @@ def expander(family, samples: int, rng):
 
 
 def radial(solution, grid):
-    """A radial factor: its series and collocated branches agree on their
-    overlap, and above the threshold K > c0, its constant term, 0 <= A'/A
-    <= the log-derivative bound at every grid point."""
+    """A radial factor: its closed form agrees with the asymptotic series on
+    the series-check window, and above the threshold K > c0, its constant
+    term, 0 <= A'/A <= the log-derivative bound at every grid point."""
     overlap = solution.overlap_disagreement()
     values = {"overlapDisagreement": overlap}
     residuals = [(overlap, "ode_overlap")]

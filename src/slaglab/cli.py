@@ -231,8 +231,6 @@ def cmd_expansion(args) -> int:
             "eigenvalue": solution.eigenvalue,
             "c1": modes.taylor_c1(args.m, args.k, args.alpha),
             "seriesSwitch": solution.t_switch,
-            "collocationPanels": solution.panel_count,
-            "collocationErrorEstimate": solution.error_estimate,
             "table": [
                 {"t": r[0], "A": r[1], "Aprime": r[2], "logDerivative": r[3]}
                 for r in rows
@@ -424,14 +422,18 @@ def main(argv=None) -> int:
             raise UsageError("csv format is only available for tabular commands")
         if getattr(args, "samples", 1) < 1:
             raise UsageError("--samples must be at least 1")
+        # the expansion bound is checked past t = 0, so it needs two points
+        min_points = {cmd_expansion: 2, cmd_plumbing: 1}.get(args.func, 0)
+        if getattr(args, "points", min_points) < min_points:
+            raise UsageError(f"--points must be at least {min_points}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DegenerateFrameError, NonTransverseError, RuntimeError) as exc:
         # numerical failure (degenerate frame, non-transverse planes,
-        # QuadratureError, NewtonError, radial collocation): not a usage
-        # error, although the first two subclass ValueError
+        # QuadratureError, NewtonError, an unreliable radial series): not a
+        # usage error, although the first two subclass ValueError
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
     except (ValueError, GradingError) as exc:

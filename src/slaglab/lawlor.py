@@ -205,10 +205,11 @@ class NeckFamily:
         return float(self._integrate(-math.inf, y)[-1])
 
     def invariant_from_potential_limits(self, y_limit: float | None = None) -> float:
-        """A(L) = lim f(+inf) - lim f(-inf), from the potential at +-y_limit
-        (default 0.9 of the tail cutoff)."""
+        """A(L) = lim f(+inf) - lim f(-inf), from the rise of the potential
+        between -y_limit and y_limit (default 0.9 of the tail cutoff), one
+        area integral."""
         y_big = y_limit if y_limit is not None else 0.9 * self.cutoff
-        return self.potential(y_big) - self.potential(-y_big)
+        return float(self._integrate(-y_big, y_big)[-1])
 
     # -- pointwise geometry ---------------------------------------------------
 

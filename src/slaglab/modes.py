@@ -32,16 +32,20 @@ recursion (match the t^l coefficient; 4 t^2 A'' contributes 4 l (l-1) c_l)
 
     2 alpha (l+1) c_{l+1} = -(4 l^2 + (2 c1 - 4) l + c0 - K) c_l,
 
-so c_0 = 1 and c_1 = (K - c0) / (2 alpha).  Unless the bracket vanishes at
-some integer l (then A is a polynomial), the c_l grow factorially and the
-series is asymptotic only; it is summed to its smallest term, which near
-t = 0 leaves an exponentially small error.  Away from 0 the linear ODE is
-solved by Chebyshev-Lobatto collocation (Trefethen, Spectral Methods in
-MATLAB, 2000) on panels whose ends grow geometrically, seeded from the
-series deep inside its reliable region; series and collocation must agree
-on the overlap window.  The collocation error estimate is the gap between
-N and 2N nodes, and a gap above tolerance raises instead of returning an
-unchecked value.
+so c_0 = 1 and c_1 = (K - c0) / (2 alpha).  The bracket is 4 (l + a)(l - beta)
+with (a, beta) = ((k+m+1)/2, (k-3)/2) on the default hierarchy and
+((k+m+2)/2, (k-4)/2) on the separation one, so the series is the asymptotic
+expansion of z^a U(a, a + beta + 1, z) at z = alpha/(2t) (DLMF 13.7.3), and
+A is that Tricomi function exactly.  Its integral form (DLMF 13.4.4) gives,
+with s = 2t/alpha and I_p(s) = Int_0^inf e^{-v^2} v^{2a-1} (1 + s v^2)^p dv,
+
+    A(t) = I_beta(s) / I_beta(0),    A'(t) = (2 beta / alpha) J(s) / I_beta(0),
+    J(s) = Int_0^inf e^{-v^2} v^{2a+1} (1 + s v^2)^{beta-1} dv,
+
+evaluated by `quadrature.integrate_rows`, which raises past its N/2N error
+bound.  When beta is a nonnegative integer, A is a polynomial; otherwise the
+c_l grow factorially, and the series summed to its smallest term checks the
+closed form near t = 0.
 
 When K > c0, A is strictly increasing from A(0) = 1 and its logarithmic
 derivative A'/A stays within [0, (K - c0) / (2 alpha)], with the right
@@ -53,19 +57,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
+from . import quadrature
 from .errors import DimensionMismatchError
 from .graphs import ScalarField, monomial_values, row_sums
 
 SERIES_FLOOR = 1e-22
 SERIES_TERMS = 600
-COLLOCATION_NODES = 24           # N; the error estimate compares N and 2N
-COLLOCATION_TOL = 1e-10          # bound on the relative N/2N gap
-PANEL_RATIO = 2.0                # panel ends grow geometrically by at most this
+_TAIL_MASS = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +253,7 @@ def _series_coefficients(m, k, alpha, damping, constant) -> np.ndarray:
 
 def _series_sum(coeffs, t, deriv=False):
     """Sum the asymptotic series at t, truncated at its globally smallest
-    term; returns (value, error_estimate).
+    term; returns (value, size of the last term kept).
 
     The sum stops early at the first term below SERIES_FLOOR relative to the
     partial sum, or once the terms have grown for four steps to 1e4 times the
@@ -285,102 +287,11 @@ def _series_sum(coeffs, t, deriv=False):
     return partials[best], mags[best]
 
 
-@lru_cache(maxsize=None)
-def _lobatto(n: int):
-    """Chebyshev-Lobatto nodes on [-1, 1] in ascending order, barycentric
-    weights, and the matrices J, J^2 that integrate the degree-n
-    interpolant of nodal values once and twice from the left end."""
-    x = -np.cos(np.pi * np.arange(n + 1) / n)
-    w = (-1.0) ** np.arange(n + 1)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    antiderivative = np.array(
-        [chebyshev.chebint(col, lbnd=-1.0) for col in np.eye(n + 1)]
-    ).T
-    integrate = chebyshev.chebvander(x, n + 1) @ antiderivative @ np.linalg.inv(
-        chebyshev.chebvander(x, n)
-    )
-    integrate[0] = 0.0
-    return x, w, integrate, integrate @ integrate
-
-
-def _collocate(n, ends, seed, m, k, alpha, damping, constant):
-    """Values and t-derivatives of A at the n+1 nodes of every panel.
-
-    The unknown on a panel [a, b] is A'' at its nodes.  A' and A are its
-    spectral integrals from a, with the left-end slope and value as the
-    integration constants, and the ODE is collocated at every node; unlike
-    differentiation matrices, the integrals keep the system well
-    conditioned.  Every panel is solved for the unit seeds (1, 0) and (0, 1)
-    in batched solves; the seed of each panel is the right-end value and
-    slope of the panel before it, and the first one comes from the series.
-    """
-    x, _, integrate, integrate2 = _lobatto(n)
-    shift = constant - k * (m + k - 2)
-    half = 0.5 * (ends[1:] - ends[:-1])[:, None]
-    offset = half * (x + 1.0)                     # t - a at the nodes
-    t = ends[:-1, None] + offset
-    drift = 2.0 * (alpha + damping * t)
-    unit = np.empty((len(half), n + 1, 2))
-    unit_slopes = np.empty_like(unit)
-    # batches of at most 8192 matrix entries keep every temporary below
-    # glibc's 128 KB mmap and trim thresholds; past them each solve at N = 48
-    # takes about 230 page faults for fresh pages, more than the batches cost
-    chunk = max(1, 8192 // (n + 1) ** 2)
-    for c in (slice(p, p + chunk) for p in range(0, len(half), chunk)):
-        once = half[c, :, None] * integrate
-        twice = (half[c] * half[c])[:, :, None] * integrate2
-        system = drift[c, :, None] * once + shift * twice
-        system[:, np.arange(n + 1), np.arange(n + 1)] += 4.0 * t[c] * t[c]
-        rhs = np.stack([np.full_like(t[c], -shift), -drift[c] - shift * offset[c]], axis=2)
-        curvature = np.linalg.solve(system, rhs)
-        np.matmul(once, curvature, out=unit_slopes[c])
-        np.matmul(twice, curvature, out=unit[c])
-    unit_slopes[:, :, 1] += 1.0
-    unit[:, :, 0] += 1.0
-    unit[:, :, 1] += offset
-    seeds = np.empty((len(ends) - 1, 2))
-    seeds[0] = seed
-    for p in range(1, len(seeds)):
-        seeds[p] = unit[p - 1, n] @ seeds[p - 1], unit_slopes[p - 1, n] @ seeds[p - 1]
-    values = np.einsum("pij,pj->pi", unit, seeds)
-    slopes = np.einsum("pij,pj->pi", unit_slopes, seeds)
-    return values, slopes
-
-
-def _n2n_gap(coarse, fine) -> float:
-    """Largest relative gap between the N-node and 2N-node solutions on the
-    N nodes (every other 2N node), over values and slopes."""
-    gap = 0.0
-    for low, high in zip(coarse, fine):
-        high = high[:, ::2]
-        gap = max(gap, float(np.max(np.abs(low - high) / np.maximum(1.0, np.abs(high)))))
-    return gap
-
-
-def _barycentric(x, w, s, rows):
-    """Interpolate rows[i] (values on the nodes x, weights w) at s[i]."""
-    diff = s[:, None] - x[None, :]
-    exact = diff == 0.0
-    diff[exact] = 1.0
-    q = w / diff
-    out = row_sums(q * rows) / row_sums(q)
-    hit = exact.any(axis=1)
-    out[hit] = rows[hit][exact[hit]]
-    return out
-
-
 @dataclass
 class RadialSolution:
-    """Radial factor A: asymptotic series near 0, spectral collocation beyond.
-
-    Evaluation uses the series on [0, t_switch] and barycentric
-    interpolation of the collocation solution on [t_switch, t_max];
-    `overlap_window` exposes the interval where both representations are
-    reliable and must agree.  `panel_count` and `error_estimate` (the
-    relative gap between N and 2N collocation nodes) say how the
-    collocation part was obtained.
-    """
+    """Radial factor A(t) = z^a U(a, a + beta + 1, z), z = alpha/(2t), on
+    [0, t_max], with integrals cut at `cutoff`.  `coeffs` is the asymptotic
+    series at t = 0, which checks the closed form on `overlap_window`."""
 
     m: int
     k: int
@@ -389,20 +300,14 @@ class RadialSolution:
     constant: float
     t_max: float
     t_switch: float
-    t_seed: float
     coeffs: np.ndarray
-    panel_ends: np.ndarray
-    node_values: np.ndarray
-    node_slopes: np.ndarray
-    error_estimate: float
+    a: float
+    beta: float
+    cutoff: float
 
     @property
     def eigenvalue(self) -> int:
         return self.k * (self.m + self.k - 2)
-
-    @property
-    def panel_count(self) -> int:
-        return len(self.panel_ends) - 1
 
     def log_derivative_bound(self) -> float:
         """Upper bound for A'/A when the eigenvalue exceeds the ODE's
@@ -417,28 +322,36 @@ class RadialSolution:
     def series_value(self, t: float, deriv: bool = False) -> float:
         return float(_series_sum(self.coeffs, t, deriv)[0])
 
-    def _collocated(self, t: np.ndarray, deriv: bool) -> np.ndarray:
-        x, w, _, _ = _lobatto(self.node_values.shape[1] - 1)
-        ends = self.panel_ends
-        panel = np.clip(np.searchsorted(ends, t, side="right") - 1, 0, len(ends) - 2)
-        left, right = ends[panel], ends[panel + 1]
-        s = np.clip(2.0 * (t - left) / (right - left) - 1.0, -1.0, 1.0)
-        rows = (self.node_slopes if deriv else self.node_values)[panel]
-        return _barycentric(x, w, s, rows)
+    def _integrands(self, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The rows e^{-v^2} v^{2a-1} (1 + s v^2)^beta, then the rows
+        e^{-v^2} v^{2a+1} (1 + s v^2)^{beta-1}, for every entry of s."""
+        vv = v * v
+        q = np.multiply.outer(s, vv)
+        value = np.exp((2.0 * self.a - 1.0) * np.log(v) - vv + self.beta * np.log1p(q))
+        return np.concatenate((value, value * (vv / (1.0 + q))))
 
     def values(self, t, deriv: bool = False) -> np.ndarray:
-        """A (or A' with deriv=True) at every entry of an array of t."""
+        """A (or A' with deriv=True) at every entry of an array of t, from
+        one quadrature call over the values, the slopes and the t = 0 row."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t < 0.0):
             raise ValueError("t must be nonnegative")
-        near = t <= self.t_switch
-        far = t[~near]
-        if far.size and far.max() > self.t_max + 1e-12:
-            raise ValueError(f"t = {far.max()} beyond solved range {self.t_max}")
-        out = np.empty(t.shape)
-        out[near] = [self.series_value(float(tt), deriv) for tt in t[near]]
-        out[~near] = self._collocated(np.minimum(far, self.t_max), deriv)
-        return out
+        if not np.all(t <= self.t_max + 1e-12):
+            raise ValueError(f"t = {t.max()} beyond solved range {self.t_max}")
+        s = np.concatenate(([0.0], 2.0 * t.ravel() / self.alpha))
+        # rows past the float range are inf, so their N/2N gap is NaN and
+        # the quadrature raises QuadratureError
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = quadrature.integrate_rows(
+                partial(self._integrands, s), 0.0, math.inf, self.cutoff,
+                (math.sqrt(0.5 * self.alpha / self.t_max), 1.0),
+            )
+        norm = rows[0]
+        if deriv:
+            out = rows[s.size + 1:] / norm * (2.0 * self.beta / self.alpha)
+        else:
+            out = rows[1:s.size] / norm
+        return out.reshape(t.shape)
 
     def value(self, t: float) -> float:
         return float(self.values(t)[0])
@@ -450,33 +363,46 @@ class RadialSolution:
         return self.value(t)
 
     def overlap_window(self, points: int = 7) -> np.ndarray:
-        return np.linspace(self.t_seed, self.t_switch, points)
+        return np.linspace(self.t_switch / 10.0, self.t_switch, points)
 
     def overlap_disagreement(self, points: int = 7) -> float:
         window = self.overlap_window(points)
         series = np.array([self.series_value(float(t)) for t in window])
-        collocated = self._collocated(window, deriv=False)
-        return float(np.max(np.abs(series - collocated) / np.maximum(1.0, np.abs(series))))
+        closed = self.values(window)
+        return float(np.max(np.abs(series - closed) / np.maximum(1.0, np.abs(series))))
 
 
 def solve_radial_mode(m: int, k: int, alpha: float, t_max: float = 2.0,
                       damping=None, constant=None) -> RadialSolution:
-    """Solve the radial hierarchy on [0, t_max] (series + collocation).
+    """The radial factor of the hierarchy on [0, t_max], in closed form.
 
     Defaults to the damping/constant pair (m+6, 3(m+1)), whose threshold
     K > 3 (m+1) governs the monotonicity and log-derivative bounds.  The
-    handoff point is t_switch = min(0.01, alpha/10), halved while the
-    smallest term of the value or the derivative series there is not yet
-    below 1e-10.  From t_seed = t_switch/10, deep inside the region where
-    the optimally truncated series is reliable, the linear ODE is solved by
-    Chebyshev-Lobatto collocation on panels whose ends grow by a ratio of at
-    most 2 up to t_max, once with N and once with 2N nodes.  The 2N solution
-    is kept; a relative N/2N gap above COLLOCATION_TOL raises RuntimeError.
+    series-check window ends at t_switch = min(0.01, alpha/10), halved while
+    the smallest term of the value or the derivative series there is not
+    yet below 1e-10.  A pair whose bracket has no real roots, or no positive
+    a, raises ValueError.
     """
-    if m < 3 or k < 0 or alpha <= 0.0 or t_max <= 0.0:
-        raise ValueError("need m >= 3, k >= 0, alpha > 0, t_max > 0")
+    if m < 3 or k < 0 or not 0.0 < alpha < math.inf or not 0.0 < t_max < math.inf:
+        raise ValueError("need m >= 3, k >= 0, finite alpha > 0 and t_max > 0")
     damping = default_damping(m) if damping is None else float(damping)
     constant = default_constant(m) if constant is None else float(constant)
+    # the bracket is 4 (l + a)(l - beta): a is the larger root of
+    # x^2 - (c1 - 2)/2 x + (c0 - K)/4 and -beta the other
+    half_sum = 0.5 * (damping - 2.0)
+    disc = half_sum * half_sum - (constant - k * (m + k - 2))
+    if disc < 0.0 or half_sum + math.sqrt(disc) <= 0.0:
+        raise ValueError("the recursion bracket needs real roots, the larger one positive")
+    a = 0.5 * (half_sum + math.sqrt(disc))
+    beta = a - half_sum
+    # for v >= 1 every row is at most (1 + s_max)^beta+ v^p e^{-v^2} with
+    # p = 2a + 1 + 2 beta+; as v^p e^{-v^2/2} <= (p/e)^{p/2} and
+    # Int_X^inf e^{-v^2/2} dv <= e^{-X^2/2}/X, the tail past X >= 1 is below
+    # (1 + s_max)^beta+ (p/e)^{p/2} e^{-X^2/2} = _TAIL_MASS Gamma(a)/2 at X
+    growth = max(beta, 0.0)
+    p = 2.0 * a + 1.0 + 2.0 * growth
+    log_tail = (growth * math.log1p(2.0 * t_max / alpha) + 0.5 * p * (math.log(p) - 1.0)
+                - math.log(0.5 * _TAIL_MASS) - math.lgamma(a))
     coeffs = _series_coefficients(m, k, alpha, damping, constant)
     t_switch = min(0.01, alpha / 10.0)
     for _ in range(40):
@@ -485,27 +411,11 @@ def solve_radial_mode(m: int, k: int, alpha: float, t_max: float = 2.0,
             break
         t_switch *= 0.5
     else:
-        raise RuntimeError("series unreliable at every candidate handoff point")
-    t_seed = t_switch / 10.0
-    seed = (_series_sum(coeffs, t_seed)[0], _series_sum(coeffs, t_seed, deriv=True)[0])
-    t_end = max(t_max, t_switch)
-    panels = math.ceil(math.log(t_end / t_seed) / math.log(PANEL_RATIO) - 1e-9)
-    ends = t_seed * (t_end / t_seed) ** (np.arange(panels + 1) / panels)
-    ends[-1] = t_end
-    args = (ends, seed, m, k, alpha, damping, constant)
-    coarse = _collocate(COLLOCATION_NODES, *args)
-    fine = _collocate(2 * COLLOCATION_NODES, *args)
-    gap = _n2n_gap(coarse, fine)
-    if not gap <= COLLOCATION_TOL:
-        raise RuntimeError(
-            f"radial collocation N/2N gap {gap:.3e} exceeds {COLLOCATION_TOL:.0e} "
-            f"at (m, k, alpha) = ({m}, {k}, {alpha})"
-        )
+        raise RuntimeError("series unreliable at every candidate window end")
     return RadialSolution(
         m=m, k=k, alpha=alpha, damping=damping, constant=constant,
-        t_max=t_max, t_switch=t_switch, t_seed=t_seed, coeffs=coeffs,
-        panel_ends=ends, node_values=fine[0], node_slopes=fine[1],
-        error_estimate=gap,
+        t_max=t_max, t_switch=t_switch, coeffs=coeffs, a=a, beta=beta,
+        cutoff=math.sqrt(max(1.0, 2.0 * log_tail)),
     )
 
 

@@ -49,7 +49,7 @@ def integrate_rows(f, lower, upper, cutoff, scales):
     """
     u_lo = math.asinh(max(lower, -cutoff))
     u_hi = math.asinh(min(upper, cutoff))
-    ends = _panel_ends(cutoff, float(np.min(scales)), float(np.max(scales)))
+    ends = _panel_edges(cutoff, float(np.min(scales)), float(np.max(scales)))
     ends = ends[(ends > u_lo) & (ends < u_hi)]
     ends = np.concatenate(([u_lo], ends, [u_hi])) if u_hi > u_lo else ends[:0]
     left, right = ends[:-1], ends[1:]
@@ -76,7 +76,7 @@ def _gauss_legendre(n):
 
 
 @functools.lru_cache(maxsize=256)
-def _panel_ends(cutoff, smallest, largest):
+def _panel_edges(cutoff, smallest, largest):
     """Panel ends in u, symmetric about 0, from the ladder over the length
     scales [smallest, largest] and the tail.
 

@@ -296,19 +296,43 @@ def test_degenerate_frame_exits_one_with_error_line(monkeypatch, capsys):
         assert "Traceback" not in err
 
 
-def test_expansion_reports_collocation():
+def test_expansion_report_fields():
     proc = run_cli("expansion", "--m", "4", "--k", "3", "--alpha", "0.5")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["collocationPanels"] > 0
-    assert 0.0 <= report["collocationErrorEstimate"] < 1e-10
+    assert 0.0 < report["seriesSwitch"] <= 0.01
+    assert report["overlapDisagreement"] < 1e-8
+    assert "collocationPanels" not in report
+    assert "collocationErrorEstimate" not in report
 
 
-def test_collocation_failure_exits_one_with_error_line(monkeypatch, capsys):
-    from slaglab import cli, modes
+def test_radial_quadrature_failure_exits_one_with_error_line(monkeypatch, capsys):
+    from slaglab import cli, quadrature
 
-    monkeypatch.setattr(modes, "_n2n_gap", lambda coarse, fine: 1e-6)
+    monkeypatch.setattr(quadrature, "DEFAULT_EPSABS", 0.0)
+    monkeypatch.setattr(quadrature, "DEFAULT_EPSREL", 0.0)
     assert cli.main(["expansion", "--m", "3", "--k", "5", "--alpha", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: RuntimeError:")
+    assert err.startswith("error: QuadratureError:")
     assert "N/2N gap" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--alpha", "inf"], ["--alpha", "nan"], ["--alpha", "1", "--t-max", "nan"],
+], ids=["alpha-inf", "alpha-nan", "t-max-nan"])
+def test_expansion_rejects_non_finite_parameters(extra):
+    proc = run_cli("expansion", "--m", "3", "--k", "5", *extra)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: need m >= 3, k >= 0, finite alpha > 0 and t_max > 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["expansion", "--m", "3", "--k", "5", "--alpha", "1", "--points", "1"],
+    ["plumbing", "--phi", "0.9,1.1,1.14", "--points", "0"],
+], ids=["expansion", "plumbing"])
+def test_points_below_minimum_is_a_usage_error(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --points must be at least")

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slaglab import checks
+from slaglab.errors import QuadratureError
 from slaglab.graphs import linearized_expander_residual
 from slaglab.modes import (
     ExpansionMode,
@@ -179,10 +182,12 @@ def test_solution_value_at_zero_is_one():
 
 
 def test_polynomial_solution_m3_k3_is_constant():
-    # eigenvalue 12 equals 3(m+1): the solution is identically 1
-    solution = solve_radial_mode(3, 3, 1.0)
-    for t in (0.0, 0.3, 1.0, 2.0):
-        assert solution.value(t) == pytest.approx(1.0, abs=1e-11)
+    # eigenvalue 12 equals 3(m+1): the solution is identically 1; at k = 5
+    # the series stops after c_1 = 9 and the solution is 1 + 9t
+    for k, exact in ((3, lambda t: 1.0), (5, lambda t: 1.0 + 9.0 * t)):
+        solution = solve_radial_mode(3, k, 1.0)
+        for t in (0.0, 0.3, 1.0, 2.0):
+            assert solution.value(t) == pytest.approx(exact(t), abs=1e-11)
 
 
 def test_series_rk_overlap_agreement():
@@ -302,11 +307,12 @@ def test_assembly_rejects_default_hierarchy_radials():
 
 
 # ---------------------------------------------------------------------------
-# spectral collocation of the radial ODE
+# the closed form against independent oracles
 # ---------------------------------------------------------------------------
 
 def _rk_oracle(solution, t_max):
-    """DOP853 at rtol 1e-13 from the solution's own seed point."""
+    """DOP853 at rtol 1e-13, seeded from the series at the start of the
+    series-check window."""
     from scipy.integrate import solve_ivp
 
     big_k = solution.eigenvalue
@@ -317,9 +323,9 @@ def _rk_oracle(solution, t_max):
                 + (solution.constant - big_k) * a) / (4.0 * t * t)
         return (ap, app)
 
-    seed = [solution.series_value(solution.t_seed),
-            solution.series_value(solution.t_seed, deriv=True)]
-    sol = solve_ivp(rhs, (solution.t_seed, t_max), seed, method="DOP853",
+    t_seed = float(solution.overlap_window()[0])
+    seed = [solution.series_value(t_seed), solution.series_value(t_seed, deriv=True)]
+    sol = solve_ivp(rhs, (t_seed, t_max), seed, method="DOP853",
                     rtol=1e-13, atol=1e-15, dense_output=True)
     assert sol.success
     return sol.sol
@@ -335,51 +341,88 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("separation", [False, True])
 @pytest.mark.parametrize("m,k,alpha", ORACLE_CASES)
 def test_collocation_matches_runge_kutta_oracle(m, k, alpha, separation):
+    # the closed form against DOP853 (named for the solver it first checked)
     solve = solve_separation_radial if separation else solve_radial_mode
     solution = solve(m, k, alpha, t_max=2.0)
     oracle = _rk_oracle(solution, 2.0)
-    # at t_switch itself the series answers, and it must agree with the
-    # collocation there in value and derivative
-    handoff = np.array([solution.t_switch])
+    # at t_switch, the end of the series-check window, the series and the
+    # closed form agree in value and derivative
     for deriv in (False, True):
-        series = solution.values(handoff, deriv=deriv)[0]
-        collocated = solution._collocated(handoff, deriv)[0]
-        assert abs(series - collocated) <= 1e-9 * max(1.0, abs(collocated))
+        series = solution.series_value(solution.t_switch, deriv)
+        closed = solution.values(np.array([solution.t_switch]), deriv=deriv)[0]
+        assert abs(series - closed) <= 1e-9 * max(1.0, abs(closed))
     grid = np.linspace(solution.t_switch, 2.0, 60)
     ref_a, ref_ap = oracle(grid)
     values = np.array([solution.value(float(t)) for t in grid])
     slopes = np.array([solution.derivative(float(t)) for t in grid])
     assert np.all(np.abs(values - ref_a) <= 1e-9 * np.maximum(1.0, np.abs(ref_a)))
     assert np.all(np.abs(slopes - ref_ap) <= 1e-9 * np.maximum(1.0, np.abs(ref_ap)))
-    assert solution.error_estimate < 1e-10
     assert solution.overlap_disagreement() < 1e-9
+
+
+def _tricomi_oracle(a, beta, alpha, t):
+    """A = z^a U(a, b, z) and A' = -(a z^a / t)(U(a, b, z) - z U(a+1, b+1, z))
+    at z = alpha/(2t), b = a + beta + 1 (DLMF 13.3.22), by mpmath at 30
+    digits; at t = 0 the limits 1 and 2 a beta / alpha."""
+    import mpmath
+
+    if t == 0.0:
+        return 1.0, 2.0 * a * beta / alpha
+    with mpmath.workdps(30):
+        a, t = mpmath.mpf(a), mpmath.mpf(t)
+        b, z = a + beta + 1, mpmath.mpf(alpha) / (2 * t)
+        u = mpmath.hyperu(a, b, z)
+        value = z ** a * u
+        slope = -(a * z ** a / t) * (u - z * mpmath.hyperu(a + 1, b + 1, z))
+        return float(value), float(slope)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(3, 8),
+    k=st.integers(0, 12),
+    log_alpha=st.floats(math.log(0.02), math.log(5.0)),
+    separation=st.booleans(),
+    t=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+)
+def test_radial_matches_tricomi_u(m, k, log_alpha, separation, t):
+    alpha = math.exp(log_alpha)
+    if separation:
+        solution = solve_separation_radial(m, k, alpha)
+        a, beta = (k + m + 2) / 2, (k - 4) / 2
+    else:
+        solution = solve_radial_mode(m, k, alpha)
+        a, beta = (k + m + 1) / 2, (k - 3) / 2
+    value, slope = _tricomi_oracle(a, beta, alpha, t)
+    assert abs(solution.value(t) - value) <= 1e-12 * max(1.0, abs(value))
+    assert abs(solution.derivative(t) - slope) <= 1e-12 * max(1.0, abs(slope))
 
 
 def test_batched_radial_values_match_scalar_calls():
     solution = solve_separation_radial(4, 3, 1.0)
-    grid = np.concatenate([[0.0], solution.overlap_window(), np.linspace(0.02, 2.0, 17),
-                           solution.panel_ends])
+    grid = np.concatenate([[0.0], solution.overlap_window(), np.linspace(0.02, 2.0, 17)])
     for deriv in (False, True):
         batched = solution.values(grid, deriv=deriv)
         one_by_one = [solution.derivative(t) if deriv else solution.value(t) for t in grid]
         np.testing.assert_array_equal(batched, one_by_one)
 
 
-def test_collocation_reports_panels_and_error_estimate():
-    solution = solve_radial_mode(3, 5, 1.0, t_max=2.0)
-    ends = solution.panel_ends
-    assert solution.panel_count == len(ends) - 1 > 0
-    assert ends[0] == solution.t_seed and ends[-1] == 2.0
-    assert np.all(ends[1:] / ends[:-1] <= 2.0 + 1e-12)
-    assert 0.0 <= solution.error_estimate < 1e-10
+def test_radial_quadrature_gap_above_bound_raises(monkeypatch):
+    from slaglab import quadrature
+
+    solution = solve_radial_mode(3, 5, 1.0)
+    monkeypatch.setattr(quadrature, "DEFAULT_EPSABS", 0.0)
+    monkeypatch.setattr(quadrature, "DEFAULT_EPSREL", 0.0)
+    with pytest.raises(QuadratureError):
+        solution.values(np.array([0.5, 1.0]))
 
 
-def test_collocation_gap_above_bound_raises(monkeypatch):
-    from slaglab import modes
-
-    monkeypatch.setattr(modes, "_n2n_gap", lambda coarse, fine: 1e-6)
-    with pytest.raises(RuntimeError, match="N/2N gap"):
-        solve_radial_mode(3, 5, 1.0)
+def test_bracket_without_positive_real_roots_rejected():
+    # damping 2 and constant K + 1: the roots of x^2 + 1/4 are not real;
+    # damping 0 and constant K: the roots are 0 and -1, so a is not positive
+    for damping, constant in ((2.0, 31.0), (0.0, 30.0)):
+        with pytest.raises(ValueError):
+            solve_radial_mode(3, 5, 1.0, damping=damping, constant=constant)
 
 
 def test_series_derivative_finite_across_overlap_window():

@@ -116,6 +116,21 @@ def test_point_integrates_once(monkeypatch):
         assert calls == [(-math.inf, 0.4)]
 
 
+def test_potential_limits_integrate_once(monkeypatch):
+    calls = []
+    rule = quadrature.integrate_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_rows", counted)
+    for family in (LawlorNeck([1.0, 2.0, 3.0]), JLTExpander(1.0, [1.0, 2.0, 3.0])):
+        calls.clear()
+        family.invariant_from_potential_limits(5.0)
+        assert calls == [(-5.0, 5.0)]
+
+
 def _agree(value, oracle):
     return abs(value - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
