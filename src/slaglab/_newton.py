@@ -1,7 +1,13 @@
-"""Damped Newton iteration in log coordinates, shared by the neck inverters."""
+"""Damped Newton iteration in log coordinates, shared by the neck inverters.
+
+The callback returns the residual together with its exact Jacobian in log
+coordinates, both from one family build, so an iterate costs one build and
+every trial of the line search carries the Jacobian the next step needs.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,31 +22,27 @@ class InversionResult:
     iterations: int
     converged: bool
     trace: list = field(default_factory=list)
+    # 2-norm condition number of the Jacobian at the returned iterate
+    jacobian_cond: float = math.nan
 
 
-def damped_newton_log(residual_fn, a0, tol=1e-9, max_iter=30, fd_step=1e-6,
-                      max_halvings=25):
-    """Solve residual_fn(a) = 0 for positive a by Newton steps on log(a).
+def damped_newton_log(residual_fn, a0, tol=1e-9, max_iter=30, max_halvings=25):
+    """Solve r(a) = 0 for positive a by Newton steps on log(a).
 
-    The Jacobian is forward-difference in log coordinates; steps are halved
-    while the residual norm fails to decrease.  Raises NewtonError with the
-    best iterate when max_iter is exhausted.
+    residual_fn(a) returns (r(a), dr/dlog(a)).  Steps are halved while the
+    residual norm fails to decrease; the accepted trial's Jacobian serves
+    the next step.  Stops once the residual norm is at most tol.  Raises
+    NewtonError with the best iterate when max_iter is exhausted.
     """
     x = np.log(np.asarray(a0, dtype=float))
-    r = np.asarray(residual_fn(np.exp(x)), dtype=float)
+    r, jac = residual_fn(np.exp(x))
     rnorm = float(np.linalg.norm(r))
     trace = [rnorm]
     best_x, best_norm = x.copy(), rnorm
 
     for it in range(1, max_iter + 1):
         if rnorm <= tol:
-            return InversionResult(np.exp(x), rnorm, it - 1, True, trace)
-        n = x.size
-        jac = np.empty((r.size, n))
-        for j in range(n):
-            xp = x.copy()
-            xp[j] += fd_step
-            jac[:, j] = (np.asarray(residual_fn(np.exp(xp))) - r) / fd_step
+            return _result(x, rnorm, it - 1, trace, jac)
         try:
             step = np.linalg.lstsq(jac, -r, rcond=None)[0]
         except np.linalg.LinAlgError as exc:
@@ -53,7 +55,7 @@ def damped_newton_log(residual_fn, a0, tol=1e-9, max_iter=30, fd_step=1e-6,
         scale = 1.0
         for _ in range(max_halvings):
             x_new = x + scale * step
-            r_new = np.asarray(residual_fn(np.exp(x_new)), dtype=float)
+            r_new, jac_new = residual_fn(np.exp(x_new))
             rnorm_new = float(np.linalg.norm(r_new))
             if rnorm_new < rnorm:
                 break
@@ -63,14 +65,19 @@ def damped_newton_log(residual_fn, a0, tol=1e-9, max_iter=30, fd_step=1e-6,
                 f"line search stalled at residual {rnorm:.3e}",
                 np.exp(best_x), best_norm, it,
             )
-        x, r, rnorm = x_new, r_new, rnorm_new
+        x, r, jac, rnorm = x_new, r_new, jac_new, rnorm_new
         trace.append(rnorm)
         if rnorm < best_norm:
             best_x, best_norm = x.copy(), rnorm
 
     if rnorm <= tol:
-        return InversionResult(np.exp(x), rnorm, max_iter, True, trace)
+        return _result(x, rnorm, max_iter, trace, jac)
     raise NewtonError(
         f"no convergence in {max_iter} iterations; best residual {best_norm:.3e}",
         np.exp(best_x), best_norm, max_iter,
     )
+
+
+def _result(x, rnorm, iterations, trace, jac) -> InversionResult:
+    return InversionResult(np.exp(x), rnorm, iterations, True, trace,
+                           float(np.linalg.cond(jac)))

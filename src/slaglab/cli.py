@@ -215,11 +215,11 @@ def cmd_expansion(args) -> int:
     seed = _seed(args)
     solution = modes.solve_radial_mode(args.m, args.k, args.alpha, args.t_max)
     grid = np.linspace(0.0, args.t_max, args.points)
-    rows = []
-    for t in grid:
-        a_val = solution.value(float(t))
-        ap_val = solution.derivative(float(t))
-        rows.append([float(t), a_val, ap_val, ap_val / a_val])
+    rows = [
+        [float(t), float(a_val), float(ap_val), float(ap_val) / float(a_val)]
+        for t, a_val, ap_val in zip(grid, solution.values(grid),
+                                    solution.values(grid, deriv=True))
+    ]
     values, residuals = checks.radial(solution, grid[1:])
     report = _report_skeleton("expansion", seed)
     report.update(values)

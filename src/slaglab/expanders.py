@@ -33,7 +33,14 @@ integral; it loses digits as alpha -> 0, where pi - sum phi cancels.
 
 For fixed alpha > 0 the angle map a -> phi is a diffeomorphism onto
 {phi in (0,pi)^m : 0 < sum phi < pi}; `jlt_invert` inverts it by damped
-Newton on log(a).
+Newton on log(a).  Its Jacobian comes from the same build as the angles:
+with r_k = a_k/(1 + a_k x^2), I = P^{-1/2} and g = x^2/(-expm1(-s)), s =
+alpha x^2 + sum log1p(a_k x^2), the entry dphi_k/dlog a_j integrates
+
+    I (delta_jk r_k/(1 + a_k x^2) - g r_j r_k / 2),
+
+which decays like r_k I, times the same Gaussian, so the expander's cutoff
+and panels serve it (see `lawlor`).
 """
 
 from __future__ import annotations
@@ -55,10 +62,10 @@ class JLTExpander(NeckFamily):
     """A single expander: the family member at alpha > 0, whose invariant
     equals the closed form A = (pi - sum phi)/(2 alpha)."""
 
-    def __init__(self, alpha: float, a):
+    def __init__(self, alpha: float, a, *, _jacobian: bool = False):
         if not alpha > 0.0:
             raise ValueError("alpha must be positive; at alpha = 0 use LawlorNeck")
-        super().__init__(alpha, a)
+        super().__init__(alpha, a, _jacobian=_jacobian)
         # test hook: a nonzero SLAG_FAULT_DTHETA biases the grading and its
         # derivative, so `slaglab verify --only expander` must fail
         self._fault_bias = float(os.environ.get(_FAULT_ENV) or 0.0)
@@ -85,7 +92,8 @@ def jlt_invert(alpha: float, target_phis, tol=1e-9, max_iter=30,
                initial=None) -> InversionResult:
     """Recover a from target angles at fixed alpha by damped Newton on log(a).
 
-    Requires phi_k in (0, pi) and 0 < sum(phi) < pi.
+    Requires phi_k in (0, pi) and 0 < sum(phi) < pi.  The residual's
+    Jacobian is the angle rows of the member's exact one, from the same build.
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
@@ -95,7 +103,8 @@ def jlt_invert(alpha: float, target_phis, tol=1e-9, max_iter=30,
         raise GradingError("target angle sum must lie strictly in (0, pi)")
 
     def residual(a):
-        return JLTExpander(alpha, a).phis - phis
+        expander = JLTExpander(alpha, a, _jacobian=True)
+        return expander.phis - phis, expander._jacobian[:-1]
 
     if initial is None:
         # Lawlor-shape guess rescaled so the Gaussian factor's share of the

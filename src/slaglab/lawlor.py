@@ -28,7 +28,17 @@ A Lawlor neck is the member at alpha = 0: the angles sum exactly to pi
 
 The correspondence a -> (phi, A) is a bijection onto {phi in (0,pi)^m,
 sum phi = pi, A > 0}; `lawlor_invert` realizes the inverse by damped Newton
-on log(a).
+on log(a), with the exact Jacobian.  With p = P x^2, r_k = a_k/(1 + a_k x^2),
+I = P^{-1/2} and g = (p + 1)/P = x^2/(-expm1(-s)), where s = alpha x^2 +
+sum log1p(a_k x^2) and g(0) = 1/P(0), the logarithmic derivatives
+dP/dlog a_j = g r_j P give the Jacobian integrands
+
+    d(r_k I)/dlog a_j = I (delta_jk r_k/(1 + a_k x^2) - g r_j r_k / 2),
+    d(I/2)/dlog a_j   = -g r_j I / 4.
+
+Each decays like the integrand it differentiates, so the member's cutoff and
+panels serve them too, and one quadrature pass yields the angles, the area
+and all of their derivatives, each row under the rule's own error check.
 
 A member is built only as a class, `NeckFamily(alpha, a)`, `LawlorNeck(a)` or
 `expanders.JLTExpander(alpha, a)`, and read through its attributes and methods.
@@ -36,6 +46,7 @@ A member is built only as a class, `NeckFamily(alpha, a)`, `LawlorNeck(a)` or
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,12 +88,17 @@ def oriented_sphere_basis(x_unit: np.ndarray) -> np.ndarray:
 
 def _log_P(alpha: float, a: np.ndarray, x):
     """log P(x) for P(x) = (e^{alpha x^2} prod(1 + a_k x^2) - 1)/x^2,
-    elementwise in x, with P(0) = alpha + sum(a_k).
+    elementwise in x, with P(0) = alpha + sum(a_k)."""
+    return _log_P_terms(alpha, a, x)[2]
 
-    With s = alpha x^2 + sum log1p(a_k x^2), log(e^s - 1) is evaluated as
-    s + log(-expm1(-s)), which keeps full relative precision for every s > 0;
-    the form s + log1p(-exp(-s)) loses digits when s is small.  Where x^2
-    overflows, P is +inf.
+
+def _log_P_terms(alpha: float, a: np.ndarray, x):
+    """(x^2, s, log P(x)) elementwise in x, with s = alpha x^2 +
+    sum log1p(a_k x^2) = log(x^2 P + 1).
+
+    log(e^s - 1) is evaluated as s + log(-expm1(-s)), which keeps full
+    relative precision for every s > 0; the form s + log1p(-exp(-s)) loses
+    digits when s is small.  Where x^2 overflows, P is +inf.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         xx = np.square(x)
@@ -91,7 +107,7 @@ def _log_P(alpha: float, a: np.ndarray, x):
     # s == 0 only where x^2 underflows against every a_k
     log_p = np.where(s > 0.0, log_p, math.log(alpha + float(np.sum(a))))
     log_p[xx == math.inf] = math.inf
-    return log_p
+    return xx, s, log_p
 
 
 class NeckFamily:
@@ -103,7 +119,7 @@ class NeckFamily:
     # bias of the grading and its derivative; only JLTExpander sets it
     _fault_bias = 0.0
 
-    def __init__(self, alpha: float, a):
+    def __init__(self, alpha: float, a, *, _jacobian: bool = False):
         if not 0.0 <= alpha < math.inf:
             raise ValueError("alpha must be finite and >= 0")
         self.alpha = float(alpha)
@@ -114,10 +130,13 @@ class NeckFamily:
         if self.alpha > 0.0:
             self._scales = np.append(self._scales, 1.0 / math.sqrt(self.alpha))
         # the integrands are even: twice the half-line integrals
-        half = self._integrate(0.0, math.inf)
-        self.phis = 2.0 * half[:-1]
-        self.A = 2.0 * float(half[-1])
+        half = 2.0 * self._integrate(0.0, math.inf, jacobian=_jacobian)
+        m = self.m
+        self.phis = half[:m]
+        self.A = float(half[m])
         self.angle_sum = float(np.sum(self.phis))
+        # d(phi_1..phi_m, A)/dlog(a_1..a_m), carried only by builds that ask
+        self._jacobian = half[m + 1:].reshape(m + 1, m) if _jacobian else None
 
     # -- scalar profile data ------------------------------------------------
 
@@ -145,19 +164,35 @@ class NeckFamily:
         x_scale = 10.0 / math.sqrt(float(np.min(self.a)))
         return max(min(x_poly, x_gauss), x_scale, 50.0)
 
-    def _rows(self, x: np.ndarray) -> np.ndarray:
-        """The m angle integrands a_k/((1 + a_k x^2) sqrt(P)), then the area
-        integrand 1/(2 sqrt(P)), at abscissae x."""
-        inv_sqrt_p = np.exp(-0.5 * _log_P(self.alpha, self.a, x))
+    def _rows(self, x: np.ndarray, jacobian: bool = False) -> np.ndarray:
+        """The m angle integrands r_k I, r_k = a_k/(1 + a_k x^2), I = P^{-1/2},
+        then the area integrand I/2, at abscissae x.  With jacobian, then the
+        derivatives of those m + 1 rows in log a_1..log a_m, row by row: the
+        derivative of row i in log a_j is row (i + 1) m + 1 + j."""
+        m = self.m
+        xx, s, log_p = _log_P_terms(self.alpha, self.a, x)
+        inv_sqrt_p = np.exp(-0.5 * log_p)
         col = self.a[:, None]
-        rows = np.empty((self.m + 1, x.shape[0]))
-        np.multiply(col / (1.0 + col * np.square(x)), inv_sqrt_p, out=rows[:-1])
-        np.multiply(0.5, inv_sqrt_p, out=rows[-1])
+        r = col / (1.0 + col * xx)
+        rows = np.empty(((m + 1) * (m + 1 if jacobian else 1), x.shape[0]))
+        np.multiply(r, inv_sqrt_p, out=rows[:m])
+        np.multiply(0.5, inv_sqrt_p, out=rows[m])
+        if jacobian:
+            # g r_j = dlog P/dlog a_j; every row i gains -(g r_j / 2) row_i,
+            # and angle row j also delta r_j I/(1 + a_j x^2) = r_j^2 I / a_j
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = np.where(s > 0.0, xx / -np.expm1(-s),
+                             1.0 / (self.alpha + float(np.sum(self.a))))
+            g[xx == math.inf] = 0.0  # I vanishes there; g r_j would be inf * 0
+            deriv = rows[m + 1:].reshape(m + 1, m, x.shape[0])
+            np.multiply(rows[:m + 1, None, :], -0.5 * g * r, out=deriv)
+            deriv[np.arange(m), np.arange(m)] += np.square(r) * inv_sqrt_p / col
         return rows
 
-    def _integrate(self, lower: float, upper: float) -> np.ndarray:
+    def _integrate(self, lower: float, upper: float, jacobian: bool = False) -> np.ndarray:
+        rows = functools.partial(self._rows, jacobian=True) if jacobian else self._rows
         return quadrature.integrate_rows(
-            self._rows, lower, upper, self.cutoff, self._scales
+            rows, lower, upper, self.cutoff, self._scales
         )
 
     def psi(self, y: float) -> np.ndarray:
@@ -267,8 +302,8 @@ class NeckFamily:
 class LawlorNeck(NeckFamily):
     """A single Lawlor neck: the family member at alpha = 0."""
 
-    def __init__(self, a):
-        super().__init__(0.0, a)
+    def __init__(self, a, *, _jacobian: bool = False):
+        super().__init__(0.0, a, _jacobian=_jacobian)
 
 
 @dataclass(frozen=True)
@@ -328,7 +363,8 @@ def lawlor_invert(target_phis, target_A, tol=1e-9, max_iter=30,
 
     Requires phi_k in (0, pi), sum(phi) = pi within 1e-6, and A > 0.  The
     residual drops the last angle (the angle sum is an identity) and matches
-    A in relative terms.
+    A in relative terms; its Jacobian is the matching rows of the member's
+    exact one, from the same build.
     """
     phis = _target_angles(target_phis)
     if abs(float(np.sum(phis)) - np.pi) > 1e-6:
@@ -337,10 +373,11 @@ def lawlor_invert(target_phis, target_A, tol=1e-9, max_iter=30,
         raise GradingError("target invariant A must be positive")
 
     def residual(a):
-        neck = LawlorNeck(a)
-        return np.concatenate(
-            [neck.phis[:-1] - phis[:-1], [(neck.A - target_A) / target_A]]
-        )
+        neck = LawlorNeck(a, _jacobian=True)
+        value = np.append(neck.phis[:-1] - phis[:-1], (neck.A - target_A) / target_A)
+        jac = np.delete(neck._jacobian, -2, axis=0)  # the last angle's row
+        jac[-1] /= target_A
+        return value, jac
 
     a0 = _initial_guess(phis, target_A) if initial is None else np.asarray(initial, float)
     return damped_newton_log(residual, a0, tol=tol, max_iter=max_iter)

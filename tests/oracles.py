@@ -9,7 +9,10 @@ a time through the family's `inv_sqrt_P`.  The harmonic-polynomial oracles
 are the sphere moment of a monomial one at a time, the sphere inner product
 as a double loop over terms, the Laplacian of a polynomial's coefficients,
 and the integer matrix of the flat Laplacian, whose rank gives the dimension
-of the degree-k harmonics.
+of the degree-k harmonics.  The Jacobian oracles are finite differences in
+log coordinates: the forward-difference Jacobian the neck inverters used
+before they carried the exact one, a damped Newton driven by it, and a
+central difference.
 """
 
 from __future__ import annotations
@@ -125,6 +128,49 @@ def area_integrand(family):
         return 0.5 * family.inv_sqrt_P(x)
 
     return g
+
+
+# ---------------------------------------------------------------------------
+# Jacobians in log coordinates
+# ---------------------------------------------------------------------------
+
+def forward_difference_jacobian(fn, a, step=1e-6, value=None):
+    """d fn/d log a at a by forward differences; value is fn(a) if known."""
+    a = np.asarray(a, dtype=float)
+    value = np.asarray(fn(a) if value is None else value, dtype=float)
+    jac = np.empty((value.size, a.size))
+    for j in range(a.size):
+        shifted = a.copy()
+        shifted[j] *= math.exp(step)
+        jac[:, j] = (np.asarray(fn(shifted)) - value) / step
+    return jac
+
+
+def central_difference_jacobian(fn, a, step=1e-6):
+    """d fn/d log a at a by central differences."""
+    a = np.asarray(a, dtype=float)
+    cols = []
+    for j in range(a.size):
+        up, down = a.copy(), a.copy()
+        up[j] *= math.exp(step)
+        down[j] *= math.exp(-step)
+        cols.append((np.asarray(fn(up)) - np.asarray(fn(down))) / (2.0 * step))
+    return np.column_stack(cols)
+
+
+def forward_difference_newton(residual_fn, a0, **kwargs):
+    """`damped_newton_log` on the residual of residual_fn, with the
+    forward-difference Jacobian in place of the exact one it returns."""
+    from slaglab._newton import damped_newton_log
+
+    def values(a):
+        return residual_fn(a)[0]
+
+    def with_fd_jacobian(a):
+        value = values(a)
+        return value, forward_difference_jacobian(values, a, value=value)
+
+    return damped_newton_log(with_fd_jacobian, a0, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,14 @@ def test_expansion_report_fields():
     assert report["overlapDisagreement"] < 1e-8
     assert "collocationPanels" not in report
     assert "collocationErrorEstimate" not in report
+    # the batched table holds the per-t values and slopes exactly
+    from slaglab import modes
+
+    solution = modes.solve_radial_mode(4, 3, 0.5, 2.0)
+    for row in report["table"]:
+        assert row["A"] == solution.value(row["t"])
+        assert row["Aprime"] == solution.derivative(row["t"])
+        assert row["logDerivative"] == row["Aprime"] / row["A"]
 
 
 def test_radial_quadrature_failure_exits_one_with_error_line(monkeypatch, capsys):
